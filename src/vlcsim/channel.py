@@ -179,11 +179,8 @@ def _bounce_arrays(
     s_a = s_a.reshape(-1, 3)
     cluster_id = np.repeat(idx, m)
     scatterer_id = np.tile(np.arange(m), n_cl)
-    normal_a = np.repeat(scene.tx_normals[idx], m, axis=0)
-    gamma_a = np.repeat(scene.tx_gamma[idx], m)
-    area_a = np.repeat(
-        np.array([scene.clusters[k].area_per_scatterer for k in idx]), m
-    )
+    normal_a = np.repeat(scene.tx.normals[idx], m, axis=0)
+    gamma_a = np.repeat(scene.tx.reflectance[idx], m)
 
     vec_t = s_a - led
     d_t = np.linalg.norm(vec_t, axis=1)
@@ -199,11 +196,8 @@ def _bounce_arrays(
         m_z = s_z.shape[1]
         cols = np.arange(m) % m_z               # index-aligned pairing
         s_z = s_z[:, cols, :].reshape(-1, 3)
-        normal_z = np.repeat(scene.rx_normals[pt], m, axis=0)
-        gamma_z = np.repeat(scene.rx_gamma[pt], m)
-        area_z = np.repeat(
-            np.array([scene.rx_clusters[k].area_per_scatterer for k in pt]), m
-        )
+        normal_z = np.repeat(scene.rx.normals[pt], m, axis=0)
+        gamma_z = np.repeat(scene.rx.reflectance[pt], m)
         vec_s = s_z - s_a
         d_s = np.linalg.norm(vec_s, axis=1)
         ok &= d_s > 1e-12
@@ -228,7 +222,7 @@ def _bounce_arrays(
     cos_out = np.maximum(cos_out, 0.0)
     power = (
         f
-        * area_a
+        * scene.tx.area_per_scatterer
         * cos_in_a
         / np.where(d_t > 0, d_t, 1.0) ** 2
         * gamma_a
@@ -244,7 +238,7 @@ def _bounce_arrays(
         mid = (
             np.maximum(cos_out_a, 0.0)
             / math.pi
-            * area_z
+            * scene.rx.area_per_scatterer
             * np.maximum(cos_in_z, 0.0)
             / np.where(d_s > 0, d_s, 1.0) ** 2
             * gamma_z

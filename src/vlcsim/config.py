@@ -138,6 +138,7 @@ def _num(tree, section, key, lo=None, hi=None, integer=False, optional=False):
     where = f"{section}.{key}"
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where} must be a number")
+    _require(math.isfinite(value), f"{where} must be finite")
     if integer:
         _require(float(value).is_integer(), f"{where} must be an integer")
         value = int(value)
@@ -260,7 +261,6 @@ class SimulationConfig:
                 col_elevation=math.radians(a["col_elevation_deg"]),
             ),
             pattern=self.pattern(),
-            tx_power=float(a["tx_power_w"]),
         )
 
     def pattern(self):

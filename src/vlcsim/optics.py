@@ -51,7 +51,6 @@ __all__ = [
     "load_material",
     "load_pattern",
     "pattern_from_luminous",
-    "visibility",
 ]
 
 
@@ -200,13 +199,6 @@ class RxOptics:
             raise OutOfRangeError("field of view must lie in (0, pi/2]")
         if self.concentrator_mode not in ("constant", "pointwise"):
             raise ValueError("concentrator_mode must be 'constant' or 'pointwise'")
-
-
-def visibility(optics: RxOptics, psi):
-    """1 where the incidence angle is inside [0, fov], else 0 (boundary in)."""
-    psi = np.asarray(psi, dtype=float)
-    out = ((psi >= 0.0) & (psi <= optics.fov)).astype(float)
-    return out if out.ndim else float(out)
 
 
 def concentrator_gain(optics: RxOptics, psi):

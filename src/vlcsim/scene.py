@@ -6,6 +6,11 @@ evolved element-by-element across the array with a birth-death process;
 each cluster owns a cloud of scatterers, an equivalent surface normal and
 an effective reflectance sampled from the bundled material curves.
 
+The clusters of each side live in one :class:`ClusterSet`, a frozen
+struct of arrays with one row per cluster: ``Scene.tx`` holds the
+clusters around the array (indexed like the visibility mask), ``Scene.rx``
+the receiver-side partners of the double-bounce clusters.
+
 All randomness flows from a single integer master seed through named
 sub-streams (visibility, one per cluster, bounce pairing), so rebuilding
 a scene is bit-identical regardless of iteration order or thread count.
@@ -24,9 +29,9 @@ from .errors import DegenerateNormalError, ZeroDistanceError
 from .geometry import ArrayOrientation
 
 __all__ = [
-    "Cluster",
-    "EvolutionParams",
     "ClusterDistribution",
+    "ClusterSet",
+    "EvolutionParams",
     "LedArray",
     "Receiver",
     "Scene",
@@ -56,7 +61,6 @@ class LedArray:
     spacing_v: float = 1.0
     orientation: ArrayOrientation = DEFAULT_ORIENTATION
     pattern: object = field(default_factory=optics.LambertianPattern)
-    tx_power: float = 1.0
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -160,37 +164,23 @@ class ClusterDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class Cluster:
-    """One realized scattering cluster.
+class ClusterSet:
+    """The realized clusters of one side, one row per cluster.
 
-    Angles and distance are relative to the cluster's anchor (the first
-    LED element for Tx-side clusters, the initial receiver position for
-    Rx-side ones). ``scatterers0`` holds initial global positions.
+    ``scatterers0`` (n, m, 3) holds the initial global scatterer
+    positions, ``normals`` (n, 3) the equivalent surface normals and
+    ``reflectance`` (n,) the effective reflectances. All clusters of a
+    side share the scatterer area and the drift ``velocity`` (3,).
     """
 
-    side: str
-    azimuth: float
-    elevation: float
-    distance: float
-    anchor: np.ndarray
-    normal: np.ndarray
-    material: str
-    reflectance: float
     scatterers0: np.ndarray
+    normals: np.ndarray
+    reflectance: np.ndarray
     area_per_scatterer: float
-    speed: float
-    travel_azimuth: float
-    travel_elevation: float
+    velocity: np.ndarray
 
-    @property
-    def center0(self) -> np.ndarray:
-        return self.anchor + geometry.sph_to_cart(
-            geometry.AnglePair(self.azimuth, self.elevation), self.distance
-        )
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.speed * geometry.direction(self.travel_azimuth, self.travel_elevation)
+    def __len__(self) -> int:
+        return self.scatterers0.shape[0]
 
 
 # === birth-death evolution across the array ===
@@ -304,11 +294,15 @@ def sample_cluster(
     gamma_by_material: dict[str, float],
     material_weights: dict[str, float],
     rng: np.random.Generator,
-) -> Cluster:
+) -> tuple:
     """Draw one cluster: angles (wrapped Gaussian), distance (exponential),
     material, equivalent normal and the scatterer cloud.
 
-    Degenerate centers on the LoS axis are redrawn (at most 100 times).
+    Returns the row ``(scatterers, normal, reflectance, material, azimuth,
+    elevation, distance)``: (m, 3) global scatterer positions, the unit
+    normal, the material's effective reflectance, and the draws they come
+    from, angles and distance relative to ``anchor``. Degenerate centers
+    on the LoS axis are redrawn (at most 100 times).
     """
     if side == "tx":
         az_mean, az_std = dist.tx_azimuth_mean, dist.tx_azimuth_std
@@ -343,22 +337,8 @@ def sample_cluster(
     local = offsets + np.array([distance, 0.0, 0.0])
     rot = _placement_rotation(azimuth, elevation)
     scatterers = np.asarray(anchor) + local @ rot.T
-
-    return Cluster(
-        side=side,
-        azimuth=azimuth,
-        elevation=elevation,
-        distance=distance,
-        anchor=np.asarray(anchor, dtype=float),
-        normal=normal,
-        material=material,
-        reflectance=gamma_by_material[material],
-        scatterers0=scatterers,
-        area_per_scatterer=dist.effective_area / m,
-        speed=dist.speed,
-        travel_azimuth=dist.travel_azimuth,
-        travel_elevation=dist.travel_elevation,
-    )
+    reflectance = gamma_by_material[material]
+    return scatterers, normal, reflectance, material, azimuth, elevation, distance
 
 
 # === the scene ===
@@ -380,23 +360,11 @@ class SceneSnapshot:
 
     @cached_property
     def tx_scatterers(self) -> np.ndarray:
-        return (
-            self.scene.tx_scatterers0
-            + self.scene.tx_velocity[:, None, :] * self.time
-        )
+        return self.scene.tx.scatterers0 + self.scene.tx.velocity * self.time
 
     @cached_property
     def rx_scatterers(self) -> np.ndarray:
-        if self.scene.rx_scatterers0.size == 0:
-            return self.scene.rx_scatterers0
-        return (
-            self.scene.rx_scatterers0
-            + self.scene.rx_velocity[:, None, :] * self.time
-        )
-
-    def at(self, dt: float) -> "SceneSnapshot":
-        """Snapshot ``dt`` later; exact, since positions are linear in time."""
-        return SceneSnapshot(self.scene, self.time + dt)
+        return self.scene.rx.scatterers0 + self.scene.rx.velocity * self.time
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,58 +375,13 @@ class Scene:
     receiver: Receiver
     evolution: EvolutionParams
     distribution: ClusterDistribution
-    clusters: tuple[Cluster, ...]
-    rx_clusters: tuple[Cluster, ...]
+    tx: ClusterSet
+    rx: ClusterSet
     visibility: np.ndarray
     is_db: np.ndarray
     partner: np.ndarray
     seed: int
     fingerprint: str = ""
-
-    # stacked views for fast evaluation
-    @cached_property
-    def tx_scatterers0(self) -> np.ndarray:
-        if not self.clusters:
-            return np.zeros((0, 0, 3))
-        return np.stack([c.scatterers0 for c in self.clusters])
-
-    @cached_property
-    def tx_velocity(self) -> np.ndarray:
-        if not self.clusters:
-            return np.zeros((0, 3))
-        return np.stack([c.velocity for c in self.clusters])
-
-    @cached_property
-    def rx_scatterers0(self) -> np.ndarray:
-        if not self.rx_clusters:
-            return np.zeros((0, 0, 3))
-        return np.stack([c.scatterers0 for c in self.rx_clusters])
-
-    @cached_property
-    def rx_velocity(self) -> np.ndarray:
-        if not self.rx_clusters:
-            return np.zeros((0, 3))
-        return np.stack([c.velocity for c in self.rx_clusters])
-
-    @cached_property
-    def tx_normals(self) -> np.ndarray:
-        return np.stack([c.normal for c in self.clusters]) if self.clusters else np.zeros((0, 3))
-
-    @cached_property
-    def rx_normals(self) -> np.ndarray:
-        return (
-            np.stack([c.normal for c in self.rx_clusters])
-            if self.rx_clusters
-            else np.zeros((0, 3))
-        )
-
-    @cached_property
-    def tx_gamma(self) -> np.ndarray:
-        return np.array([c.reflectance for c in self.clusters])
-
-    @cached_property
-    def rx_gamma(self) -> np.ndarray:
-        return np.array([c.reflectance for c in self.rx_clusters])
 
     def at(self, t: float) -> SceneSnapshot:
         return SceneSnapshot(self, t)
@@ -529,34 +452,36 @@ def build_scene(
         else receiver.distance / 2.0
     )
 
-    tx_streams = ss_tx.spawn(n_total)
-    clusters = tuple(
-        sample_cluster(
-            "tx",
-            distribution,
-            np.zeros(3),
-            distance_mean,
-            gamma_by_material,
-            material_weights,
-            np.random.default_rng(s),
-        )
-        for s in tx_streams
+    m = distribution.scatterers_per_cluster
+    area = distribution.effective_area / m
+    velocity = distribution.speed * geometry.direction(
+        distribution.travel_azimuth, distribution.travel_elevation
     )
 
-    n_rx = math.ceil(n_total * (1.0 - distribution.sb_ratio))
-    rx_streams = ss_rx.spawn(n_rx) if n_rx else []
-    rx_clusters = tuple(
-        sample_cluster(
-            "rx",
-            distribution,
-            receiver.initial_position,
-            distance_mean,
-            gamma_by_material,
-            material_weights,
-            np.random.default_rng(s),
+    def pack(side: str, anchor: np.ndarray, streams) -> ClusterSet:
+        rows = [
+            sample_cluster(
+                side,
+                distribution,
+                anchor,
+                distance_mean,
+                gamma_by_material,
+                material_weights,
+                np.random.default_rng(s),
+            )
+            for s in streams
+        ]
+        return ClusterSet(
+            scatterers0=np.array([r[0] for r in rows]).reshape(len(rows), m, 3),
+            normals=np.array([r[1] for r in rows]).reshape(len(rows), 3),
+            reflectance=np.array([r[2] for r in rows], dtype=float),
+            area_per_scatterer=area,
+            velocity=velocity,
         )
-        for s in rx_streams
-    )
+
+    n_rx = math.ceil(n_total * (1.0 - distribution.sb_ratio))
+    tx = pack("tx", np.zeros(3), ss_tx.spawn(n_total))
+    rx = pack("rx", receiver.initial_position, ss_rx.spawn(n_rx))
 
     is_db, partner = assign_bounce(
         n_total, distribution.sb_ratio, np.random.default_rng(ss_pair)
@@ -566,8 +491,8 @@ def build_scene(
         receiver=receiver,
         evolution=evolution,
         distribution=distribution,
-        clusters=clusters,
-        rx_clusters=rx_clusters,
+        tx=tx,
+        rx=rx,
         visibility=vis,
         is_db=is_db,
         partner=partner,

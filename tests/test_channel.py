@@ -22,31 +22,20 @@ from vlcsim import (
     los_tap,
     sb_tap,
 )
-from vlcsim.geometry import ArrayOrientation, cart_to_sph
-from vlcsim.scene import Cluster, Scene
+from vlcsim.geometry import ArrayOrientation, direction
+from vlcsim.scene import ClusterSet, Scene
 
 SEED = 20220101
 
 
-def _cluster(side, anchor, scatterers, normal, gamma, area, speed=0.0,
-             travel_az=0.0, travel_el=0.0):
-    scatterers = np.atleast_2d(np.asarray(scatterers, dtype=float))
-    center = scatterers.mean(axis=0) - np.asarray(anchor, dtype=float)
-    pair, dist = cart_to_sph(center)
-    return Cluster(
-        side=side,
-        azimuth=pair.azimuth,
-        elevation=pair.elevation,
-        distance=dist,
-        anchor=np.asarray(anchor, dtype=float),
-        normal=np.asarray(normal, dtype=float),
-        material="plaster",
-        reflectance=gamma,
-        scatterers0=scatterers,
+def _cluster(scatterer, normal, gamma, area, speed=0.0, travel_az=0.0):
+    """A one-cluster set holding a single scatterer."""
+    return ClusterSet(
+        scatterers0=np.asarray(scatterer, dtype=float).reshape(1, 1, 3),
+        normals=np.asarray(normal, dtype=float).reshape(1, 3),
+        reflectance=np.array([gamma]),
         area_per_scatterer=area,
-        speed=speed,
-        travel_azimuth=travel_az,
-        travel_elevation=travel_el,
+        velocity=speed * direction(travel_az, 0.0),
     )
 
 
@@ -135,18 +124,16 @@ def _random_setup(rng, double):
         return out
 
     s_a0 = _scatterer_point()
-    tx_cluster = _cluster(
-        "tx", np.zeros(3), s_a0, normal_for(s_a0), p["gamma_a"], p["area_a"],
+    tx = _cluster(
+        s_a0, normal_for(s_a0), p["gamma_a"], p["area_a"],
         speed=p["spd_c"], travel_az=p["trv_c"],
     )
-    rx_clusters = ()
+    rx = ClusterSet(np.zeros((0, 1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0, np.zeros(3))
     if double:
         s_z0 = _scatterer_point()
-        rx_clusters = (
-            _cluster(
-                "rx", receiver.initial_position, s_z0, normal_for(s_z0),
-                p["gamma_z"], p["area_z"], speed=p["spd_c"], travel_az=p["trv_c"],
-            ),
+        rx = _cluster(
+            s_z0, normal_for(s_z0), p["gamma_z"], p["area_z"],
+            speed=p["spd_c"], travel_az=p["trv_c"],
         )
         p["s_z0"] = s_z0
 
@@ -155,8 +142,8 @@ def _random_setup(rng, double):
         receiver=receiver,
         evolution=EvolutionParams(),
         distribution=ClusterDistribution(),
-        clusters=(tx_cluster,),
-        rx_clusters=rx_clusters,
+        tx=tx,
+        rx=rx,
         visibility=np.ones((p["rows"], p["cols"], 1), dtype=bool),
         is_db=np.array([double]),
         partner=np.array([0 if double else -1]),
@@ -299,27 +286,27 @@ def test_cir_snapshot_matches_reference_sums():
     fov = scene.receiver.optics.fov
     area_pd = scene.receiver.area
 
+    tx, rx_set = scene.tx, scene.rx
     sb_sum, db_sum = [], []
     for k in scene.visible_indices(i, j):
-        c = scene.clusters[k]
         if not scene.is_db[k]:
-            for s in range(c.scatterers0.shape[0]):
+            for s in range(tx.scatterers0.shape[1]):
                 out = oracles.straight_line_sb(
-                    led, frame, 1.0, snap.tx_scatterers[k, s], c.normal,
-                    c.reflectance, c.area_per_scatterer, rx, n_pd, area_pd, fov,
+                    led, frame, 1.0, snap.tx_scatterers[k, s], tx.normals[k],
+                    tx.reflectance[k], tx.area_per_scatterer, rx, n_pd, area_pd, fov,
                 )
                 if out is not None:
                     sb_sum.append(out[0])
         else:
-            z = scene.rx_clusters[scene.partner[k]]
-            m_z = z.scatterers0.shape[0]
-            for s in range(c.scatterers0.shape[0]):
+            z = scene.partner[k]
+            m_z = rx_set.scatterers0.shape[1]
+            for s in range(tx.scatterers0.shape[1]):
                 out = oracles.straight_line_db(
                     led, frame, 1.0,
-                    snap.tx_scatterers[k, s], c.normal, c.reflectance,
-                    c.area_per_scatterer,
-                    snap.rx_scatterers[scene.partner[k], s % m_z], z.normal,
-                    z.reflectance, z.area_per_scatterer,
+                    snap.tx_scatterers[k, s], tx.normals[k], tx.reflectance[k],
+                    tx.area_per_scatterer,
+                    snap.rx_scatterers[z, s % m_z], rx_set.normals[z],
+                    rx_set.reflectance[z], rx_set.area_per_scatterer,
                     rx, n_pd, area_pd, fov,
                 )
                 if out is not None:
@@ -372,7 +359,7 @@ def test_cir_taps_respect_field_of_view():
             point = snap.tx_scatterers[tap.cluster, tap.scatterer]
         elif tap.kind == TapKind.DB:
             z = scene.partner[tap.cluster]
-            m_z = scene.rx_clusters[z].scatterers0.shape[0]
+            m_z = scene.rx.scatterers0.shape[1]
             point = snap.rx_scatterers[z, tap.scatterer % m_z]
         else:
             point = scene.array.element_position(1, 1)
@@ -395,3 +382,25 @@ def test_channel_over_time_covers_all_subchannels():
     one = mats[1].cir(2, 2, 3)
     assert isinstance(one, Cir)
     assert one.element == (2, 2) and one.pd == 3 and one.time == 0.5
+
+
+def test_scene_without_clusters_is_line_of_sight_only():
+    # birth rate 1/m against death rate 4/m: round(0.25) = 0 initial clusters
+    cfg = default_config().merged(
+        {"evolution": {"birth_rate_per_m": 1.0}, "clusters": {"speed_m_s": 0.5}}
+    )
+    scene = cfg.build_scene(SEED)
+    m = scene.distribution.scatterers_per_cluster
+    assert scene.evolution.initial_count == 0
+    assert scene.tx.scatterers0.shape == (0, m, 3)
+    assert scene.rx.scatterers0.shape == (0, m, 3)
+    assert scene.at(1.0).tx_scatterers.shape == (0, m, 3)
+
+    cir = cir_snapshot(1, 1, 1, scene, 1.0)
+    assert np.all(cir.kinds == int(TapKind.LOS))
+    assert cir.powers.size == 1
+    assert cir.dc_gain == pytest.approx(los_tap(1, 1, 1, scene, 1.0).power, rel=1e-12)
+    for matrix in channel_over_time(scene, [0.0, 1.0]):
+        for one in matrix:
+            assert np.all(one.kinds == int(TapKind.LOS))
+            assert one.powers.size <= 1

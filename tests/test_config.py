@@ -84,6 +84,8 @@ def test_unknown_keys_name_their_path():
         {"time": {"start_s": 1.0, "stop_s": 0.5}},
         {"frequency": {"points": 1}},
         {"ensemble": {"size": 0}},
+        {"receiver": {"azimuth_deg": math.nan}},
+        {"receiver": {"distance_m": math.inf}},
     ],
 )
 def test_validation_rejects(override):

@@ -183,6 +183,15 @@ def test_cli_rejects_bad_config(tmp_path):
     assert main(["--experiment", "ccf-space", "--config", str(typo)]) == 2
 
 
+def test_cli_rejects_non_finite_config(tmp_path, capsys):
+    far = tmp_path / "far.yaml"
+    far.write_text("receiver:\n  distance_m: .inf\n")
+    assert main(["--experiment", "rms-adr", "--config", str(far),
+                 "--out", str(tmp_path)]) == 2
+    assert "receiver.distance_m must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "rms-adr.csv").exists()
+
+
 def test_cli_rejects_bad_ensemble():
     assert main(["--experiment", "ccf-space", "--ensemble", "0"]) == 2
 

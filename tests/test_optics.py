@@ -26,7 +26,6 @@ from vlcsim.optics import (
     load_led_psd,
     load_material,
     pattern_from_luminous,
-    visibility,
 )
 
 
@@ -121,12 +120,6 @@ def test_rx_optics_validation():
         RxOptics(fov=math.pi / 2 + 0.01)
     with pytest.raises(ValueError):
         RxOptics(concentrator_mode="parabolic")
-
-
-def test_visibility_boundary_is_inside():
-    opt = RxOptics(fov=math.radians(45.0))
-    psi = np.radians([0.0, 44.9, 45.0, 45.1, 90.0])
-    assert np.allclose(visibility(opt, psi), [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_concentrator_gains():

@@ -14,6 +14,7 @@ from vlcsim import (
     default_config,
     gamma_table,
 )
+from vlcsim.geometry import AnglePair, sph_to_cart
 from vlcsim.scene import (
     assign_bounce,
     evolve_visibility,
@@ -150,20 +151,19 @@ def test_sample_cluster_geometry():
     gamma = {"plaster": 0.4, "floor": 0.2}
     weights = {"plaster": 0.7, "floor": 0.3}
     anchor = np.array([1.0, -0.5, 0.25])
-    c = sample_cluster(
-        "tx", dist, anchor, 1.0, gamma, weights, np.random.default_rng(SEED)
+    scatterers, normal, reflectance, material, azimuth, elevation, distance = (
+        sample_cluster("tx", dist, anchor, 1.0, gamma, weights, np.random.default_rng(SEED))
     )
-    assert c.side == "tx"
-    assert c.material in weights
-    assert c.reflectance == gamma[c.material]
-    assert c.distance > 0.0
-    assert c.scatterers0.shape == (100, 3)
-    assert c.area_per_scatterer == pytest.approx(dist.effective_area / 100)
+    assert material in weights
+    assert reflectance == gamma[material]
+    assert distance > 0.0
+    assert scatterers.shape == (100, 3)
     # equivalent normal is the perpendicular back onto the link axis
-    assert np.linalg.norm(c.normal) == pytest.approx(1.0, abs=1e-12)
-    assert abs(c.normal[0]) < 1e-9
+    assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-12)
+    assert abs(normal[0]) < 1e-9
     # the scatterer cloud is centered on the cluster center
-    err = c.scatterers0.mean(axis=0) - c.center0
+    center0 = anchor + sph_to_cart(AnglePair(azimuth, elevation), distance)
+    err = scatterers.mean(axis=0) - center0
     assert np.all(np.abs(err) < 5.0 / math.sqrt(100))
 
 
@@ -171,19 +171,47 @@ def test_sample_cluster_reproducible():
     dist = _distribution()
     gamma = {"plaster": 0.4}
     weights = {"plaster": 1.0}
-    a = sample_cluster("rx", dist, np.zeros(3), 1.0, gamma, weights, np.random.default_rng(9))
-    b = sample_cluster("rx", dist, np.zeros(3), 1.0, gamma, weights, np.random.default_rng(9))
-    assert a.azimuth == b.azimuth and a.distance == b.distance
-    assert np.array_equal(a.scatterers0, b.scatterers0)
+    a_scat, _, _, _, a_az, _, a_dist = sample_cluster(
+        "rx", dist, np.zeros(3), 1.0, gamma, weights, np.random.default_rng(9))
+    b_scat, _, _, _, b_az, _, b_dist = sample_cluster(
+        "rx", dist, np.zeros(3), 1.0, gamma, weights, np.random.default_rng(9))
+    assert a_az == b_az and a_dist == b_dist
+    assert np.array_equal(a_scat, b_scat)
 
 
 def test_cluster_velocity_moves_snapshots():
     dist = _distribution(speed=0.5, travel_azimuth=0.0, travel_elevation=0.0)
-    c = sample_cluster(
-        "tx", dist, np.zeros(3), 1.0, {"plaster": 0.4}, {"plaster": 1.0},
-        np.random.default_rng(11),
+    scene = build_scene(
+        LedArray(), Receiver(), EvolutionParams(), dist,
+        {"plaster": 0.4}, {"plaster": 1.0}, seed=11,
     )
-    assert np.allclose(c.velocity, [0.5, 0.0, 0.0], atol=1e-15)
+    for side in (scene.tx, scene.rx):
+        assert np.allclose(side.velocity, [0.5, 0.0, 0.0], atol=1e-15)
+
+
+def test_cluster_set_rows_come_from_their_own_streams():
+    # row k of each side is sample_cluster on the k-th spawned stream, so
+    # any single cluster can be redrawn without drawing the others
+    cfg = default_config()
+    scene = cfg.build_scene(SEED)
+    dist = scene.distribution
+    n = len(scene.tx)
+    assert len(scene.rx) == math.ceil(n * (1.0 - dist.sb_ratio))
+    _, ss_tx, ss_rx, _ = np.random.SeedSequence(SEED).spawn(4)
+    anchors = {"tx": np.zeros(3), "rx": scene.receiver.initial_position}
+    for side, clusters, streams in (
+        ("tx", scene.tx, ss_tx.spawn(n)),
+        ("rx", scene.rx, ss_rx.spawn(len(scene.rx))),
+    ):
+        for k, stream in enumerate(streams):
+            scatterers, normal, reflectance, *_ = sample_cluster(
+                side, dist, anchors[side], scene.receiver.distance / 2.0,
+                cfg.gamma_table(), cfg.material_weights(),
+                np.random.default_rng(stream),
+            )
+            assert np.array_equal(clusters.scatterers0[k], scatterers)
+            assert np.array_equal(clusters.normals[k], normal)
+            assert clusters.reflectance[k] == reflectance
 
 
 def test_build_scene_deterministic():
@@ -192,28 +220,31 @@ def test_build_scene_deterministic():
     b = cfg.build_scene(123)
     c = cfg.build_scene(124)
     assert np.array_equal(a.visibility, b.visibility)
-    assert np.array_equal(a.tx_scatterers0, b.tx_scatterers0)
+    assert np.array_equal(a.tx.scatterers0, b.tx.scatterers0)
     assert a.fingerprint == b.fingerprint != ""
-    assert a.tx_scatterers0.shape != c.tx_scatterers0.shape or not np.array_equal(
-        a.tx_scatterers0, c.tx_scatterers0
+    assert a.tx.scatterers0.shape != c.tx.scatterers0.shape or not np.array_equal(
+        a.tx.scatterers0, c.tx.scatterers0
     )
 
 
 def test_build_scene_bookkeeping():
     cfg = default_config()
     scene = cfg.build_scene(SEED)
-    n = len(scene.clusters)
+    n = len(scene.tx)
     assert scene.visibility.shape == (4, 4, n)
-    assert len(scene.rx_clusters) == math.ceil(n * 0.1)
+    assert len(scene.rx) == math.ceil(n * 0.1)
     assert scene.is_db.sum() == math.ceil(n * 0.1)
     assert np.all(scene.partner[scene.is_db] >= 0)
-    assert np.all(scene.partner[scene.is_db] < len(scene.rx_clusters))
+    assert np.all(scene.partner[scene.is_db] < len(scene.rx))
     assert np.all(scene.partner[~scene.is_db] == -1)
     # visible_indices mirrors the boolean mask, elements are 1-based
     got = scene.visible_indices(2, 3)
     assert np.array_equal(got, np.flatnonzero(scene.visibility[1, 2]))
     # at the documented defaults roughly initial_count clusters stay visible
     assert scene.visibility[0, 0].sum() == 20
+    for side in (scene.tx, scene.rx):
+        assert side.area_per_scatterer == pytest.approx(
+            scene.distribution.effective_area / 100)
 
 
 def test_build_scene_zero_distance_raises():
@@ -245,10 +276,10 @@ def test_snapshot_motion_is_linear():
         snap.rx_position, scene.receiver.initial_position + [0.0, 0.0, 1.0]
     )
     assert np.allclose(
-        snap.tx_scatterers, scene.tx_scatterers0 + np.array([-0.5, 0.0, 0.0]),
+        snap.tx_scatterers, scene.tx.scatterers0 + np.array([-0.5, 0.0, 0.0]),
         atol=1e-12,
     )
-    later = snap.at(0.5)
+    later = scene.at(snap.time + 0.5)
     assert later.time == pytest.approx(2.5)
     assert np.allclose(later.rx_position, scene.receiver.position_at(2.5))
 

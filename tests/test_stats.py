@@ -7,6 +7,7 @@ import oracles
 from vlcsim import (
     Cir,
     ClusterDistribution,
+    ClusterSet,
     ConfigMismatchError,
     DegenerateFitError,
     EmptyCirError,
@@ -133,13 +134,16 @@ def test_transfer_consistency_and_empty():
     assert np.allclose(full - nlos, los, rtol=1e-12, atol=1e-20)
 
     # all rays pruned -> exact zeros
+    no_clusters = ClusterSet(
+        np.zeros((0, 1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0, np.zeros(3)
+    )
     lonely = Scene(
         array=LedArray(),
         receiver=Receiver(azimuth=0.0),
         evolution=EvolutionParams(),
         distribution=ClusterDistribution(),
-        clusters=(),
-        rx_clusters=(),
+        tx=no_clusters,
+        rx=no_clusters,
         visibility=np.zeros((4, 4, 0), dtype=bool),
         is_db=np.zeros(0, dtype=bool),
         partner=np.zeros(0, dtype=int),
