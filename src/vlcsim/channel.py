@@ -27,13 +27,9 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "ChannelMatrix",
     "Cir",
-    "RayTap",
     "TapKind",
     "channel_over_time",
     "cir_snapshot",
-    "db_tap",
-    "los_tap",
-    "sb_tap",
 ]
 
 
@@ -41,23 +37,6 @@ class TapKind(IntEnum):
     LOS = 0
     SB = 1
     DB = 2
-
-
-@dataclass(frozen=True)
-class RayTap:
-    """One propagation path: power gain, absolute delay, bookkeeping."""
-
-    power: float
-    delay: float
-    kind: TapKind
-    cluster: int | None = None
-    scatterer: int | None = None
-
-    def __post_init__(self):
-        if self.power < 0.0:
-            raise ValueError("tap power must be non-negative")
-        if not 0.0 < self.delay < math.inf:
-            raise ValueError("tap delay must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,23 +60,8 @@ class Cir:
     def dc_gain(self) -> float:
         return float(self.powers.sum())
 
-    @property
-    def taps(self) -> list[RayTap]:
-        return [
-            RayTap(
-                float(p),
-                float(d),
-                TapKind(int(k)),
-                None if c < 0 else int(c),
-                None if s < 0 else int(s),
-            )
-            for p, d, k, c, s in zip(
-                self.powers, self.delays, self.kinds, self.clusters, self.scatterers
-            )
-        ]
-
-    def filtered(self, keep) -> "Cir":
-        """Copy with only the taps where ``keep`` (bool mask) holds."""
+    def nlos_only(self) -> "Cir":
+        keep = self.kinds != int(TapKind.LOS)
         return Cir(
             self.powers[keep],
             self.delays[keep],
@@ -108,9 +72,6 @@ class Cir:
             self.pd,
             self.time,
         )
-
-    def nlos_only(self) -> "Cir":
-        return self.filtered(self.kinds != int(TapKind.LOS))
 
 
 def _pd_incidence(optics_cfg, n_pd: np.ndarray, toward_rx: np.ndarray):
@@ -147,14 +108,6 @@ def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
     if power <= 0.0:
         return None
     return float(power), d / SPEED_OF_LIGHT
-
-
-def los_tap(i: int, j: int, p: int, scene: Scene, t: float) -> RayTap | None:
-    """Direct tap between element (i, j) and detector p, or None outside FoV."""
-    out = _los_arrays(scene.at(t), i, j, p)
-    if out is None:
-        return None
-    return RayTap(out[0], out[1], TapKind.LOS)
 
 
 def _bounce_arrays(
@@ -248,41 +201,6 @@ def _bounce_arrays(
     ok &= power > 0.0
     delay = delay / SPEED_OF_LIGHT
     return power[ok], delay[ok], cluster_id[ok], scatterer_id[ok]
-
-
-def sb_tap(
-    i: int, j: int, p: int, cluster: int, scatterer: int, scene: Scene, t: float
-) -> RayTap | None:
-    """Single-bounce tap via one scatterer, or None when the ray is pruned."""
-    if scene.is_db[cluster]:
-        raise ValueError(f"cluster {cluster} is a double-bounce cluster")
-    return _single_ray(scene.at(t), i, j, p, cluster, scatterer, double=False)
-
-
-def db_tap(
-    i: int, j: int, p: int, cluster: int, scatterer: int, scene: Scene, t: float
-) -> RayTap | None:
-    """Double-bounce tap via an aligned scatterer pair, or None when pruned."""
-    if not scene.is_db[cluster]:
-        raise ValueError(f"cluster {cluster} is a single-bounce cluster")
-    return _single_ray(scene.at(t), i, j, p, cluster, scatterer, double=True)
-
-
-def _single_ray(snapshot, i, j, p, cluster, scatterer, double):
-    power, delay, _, sid = _bounce_arrays(
-        snapshot, i, j, p, np.array([cluster]), double=double
-    )
-    hit = np.flatnonzero(sid == scatterer)
-    if hit.size == 0:
-        return None
-    k = hit[0]
-    return RayTap(
-        float(power[k]),
-        float(delay[k]),
-        TapKind.DB if double else TapKind.SB,
-        cluster,
-        scatterer,
-    )
 
 
 def cir_snapshot(

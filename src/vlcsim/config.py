@@ -165,7 +165,9 @@ def _validate(tree: dict):
         _require(isinstance(pattern["order"], (int, float)) and pattern["order"] >= 0,
                  "array.pattern.order must be >= 0")
     if pattern["type"] == "file":
-        _require(bool(pattern["path"]), "array.pattern.path required for type 'file'")
+        path = pattern["path"]
+        _require(isinstance(path, str) and Path(path).is_file(),
+                 f"array.pattern.path must name an existing file, got {path!r}")
 
     _num(tree, "receiver", "distance_m", lo=1e-9)
     _num(tree, "receiver", "n_pd", lo=1, integer=True)
@@ -205,8 +207,9 @@ def _validate(tree: dict):
     _num(tree, "clusters", "sb_ratio", lo=0.0, hi=1.0)
     _num(tree, "clusters", "speed_m_s", lo=0.0)
 
-    _require(isinstance(tree["spectrum"]["led"], str) and tree["spectrum"]["led"],
-             "spectrum.led must be a name or file path")
+    led = tree["spectrum"]["led"]
+    _require(isinstance(led, str) and optics.led_psd_path(led).is_file(),
+             f"spectrum.led must be a bundled name or an existing file, got {led!r}")
     lo = _num(tree, "spectrum", "wavelength_lo_nm", lo=100.0)
     hi = _num(tree, "spectrum", "wavelength_hi_nm", lo=100.0)
     _require(lo <= hi, "spectrum wavelength window is inverted")
@@ -409,6 +412,8 @@ def save_config(cfg: SimulationConfig, path):
 
 
 def config_hash(cfg: SimulationConfig) -> str:
-    """sha256 over the canonical JSON form; changes iff any field changes."""
-    blob = json.dumps(cfg.data, sort_keys=True, separators=(",", ":"))
+    """sha256 over the canonical JSON form; changes iff any field changes,
+    except ``ensemble.threads``, which never changes the output bytes."""
+    tree = {**cfg.data, "ensemble": {**cfg.data["ensemble"], "threads": 1}}
+    blob = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -35,7 +35,6 @@ __all__ = [
     "invert_frame",
     "led_position",
     "pd_normals",
-    "point_to_lcs_ij",
     "sph_to_cart",
     "wrap_azimuth",
 ]
@@ -226,22 +225,6 @@ def led_position(
     return dv * row_axis + dh * col_axis
 
 
-def point_to_lcs_ij(
-    p: np.ndarray,
-    i: int,
-    j: int,
-    frame: np.ndarray,
-    spacing_h: float,
-    spacing_v: float,
-) -> AnglePair:
-    """Angles of a global point as seen in element (i, j)'s local frame."""
-    inv = invert_frame(frame)
-    local = inv @ np.asarray(p, dtype=float)
-    local = local - np.array([0.0, (j - 1) * spacing_v, (i - 1) * spacing_h])
-    pair, _ = cart_to_sph(local)
-    return pair
-
-
 def points_to_lcs_ij(
     points: np.ndarray,
     i: int,
@@ -250,7 +233,11 @@ def points_to_lcs_ij(
     spacing_h: float,
     spacing_v: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized point_to_lcs_ij: (az, el) arrays for an (..., 3) stack."""
+    """Angles of global points as seen in element (i, j)'s local frame.
+
+    ``frame_inv`` is the inverse of the element-(1, 1) frame; returns
+    (az, el) arrays for an (..., 3) stack of points.
+    """
     local = np.asarray(points, dtype=float) @ frame_inv.T
     local = local - np.array([0.0, (j - 1) * spacing_v, (i - 1) * spacing_h])
     az, el, _ = sph_angles(local)

@@ -28,15 +28,8 @@ from .errors import (
 _DATA_DIR = Path(__file__).parent / "data"
 
 MATERIAL_NAMES = ("floor", "pine_wood", "plaster", "plate_glass")
-DEFAULT_MATERIAL_WEIGHTS = {
-    "floor": 0.3,
-    "pine_wood": 0.2,
-    "plaster": 0.4,
-    "plate_glass": 0.1,
-}
 
 __all__ = [
-    "DEFAULT_MATERIAL_WEIGHTS",
     "MATERIAL_NAMES",
     "LambertianPattern",
     "RxOptics",
@@ -47,6 +40,7 @@ __all__ = [
     "effective_reflectance",
     "hemisphere_integral",
     "lambertian_intensity",
+    "led_psd_path",
     "load_led_psd",
     "load_material",
     "load_pattern",
@@ -334,11 +328,13 @@ def load_material(name: str) -> SpectralCurve:
     return _load_curve(_DATA_DIR / f"material_{name}.csv", "reflectance")
 
 
-def load_led_psd(name_or_path) -> SpectralCurve:
-    """Bundled LED spectrum ('white', 'red', 'green', 'blue') or a CSV path.
-
-    The returned curve is normalized to unit integral over its support.
-    """
+def led_psd_path(name_or_path) -> Path:
+    """Bundled LED spectrum file ('white', 'red', 'green', 'blue') or a CSV path."""
     bundled = _DATA_DIR / f"led_{name_or_path}.csv"
-    path = bundled if isinstance(name_or_path, str) and bundled.exists() else Path(name_or_path)
-    return _load_curve(path, "psd").normalized()
+    return bundled if isinstance(name_or_path, str) and bundled.exists() else Path(name_or_path)
+
+
+def load_led_psd(name_or_path) -> SpectralCurve:
+    """LED spectrum at :func:`led_psd_path`, normalized to unit integral
+    over its support."""
+    return _load_curve(led_psd_path(name_or_path), "psd").normalized()

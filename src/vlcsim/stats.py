@@ -3,9 +3,7 @@
 Correlation estimates are Monte-Carlo averages over an ensemble of
 independently seeded scenes. Every estimate carries a standard error;
 normalized quantities propagate the error of the zero-lag normalizer
-through a first-order linearization. The semi-analytical correlation
-split evaluates the direct-path product exactly and scales the scattered
-part by the cluster survival probability for the element offset.
+through a first-order linearization.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .errors import (
     TooFewSamplesError,
     ZeroGainError,
 )
-from .scene import Scene, survival_probability
+from .scene import Scene
 
 __all__ = [
     "CorrelationSeries",
@@ -137,9 +135,6 @@ class CorrelationSeries:
     t: float
     f: float
     n_runs: int
-    analytical_los: np.ndarray | None = None
-    analytical_nlos: np.ndarray | None = None
-    survival: float = 1.0
 
     @property
     def normalized(self) -> np.ndarray:
@@ -150,12 +145,6 @@ class CorrelationSeries:
         """Delta-method standard error of values/zero_lag."""
         infl = _normalized_influence(self.products, self.zero_lag_products)
         return _complex_sem(infl)
-
-    @property
-    def analytical(self) -> np.ndarray | None:
-        if self.analytical_los is None:
-            return None
-        return self.analytical_los + self.analytical_nlos
 
 
 def _complex_sem(samples: np.ndarray) -> np.ndarray:
@@ -189,13 +178,11 @@ def stfcf(
     f: float,
     dt_lags,
     df_lags,
-    analytical: bool = False,
 ) -> CorrelationSeries:
     """Space-time-frequency correlation between two sub-channels.
 
     ``dt_lags`` and ``df_lags`` broadcast against each other into one lag
-    axis. With ``analytical=True`` the series also carries the split into
-    a direct-path product term and a survival-scaled scattered term.
+    axis.
     """
     scenes = _check_ensemble(scenes)
     dt_arr, df_arr = np.broadcast_arrays(
@@ -207,34 +194,14 @@ def stfcf(
     n_lags = dt_arr.size
     n = len(scenes)
 
-    first = scenes[0]
-    surv = survival_probability(
-        first.evolution,
-        first.array.orientation,
-        first.array.spacing_h,
-        first.array.spacing_v,
-        other_link[0] - link[0],
-        other_link[1] - link[1],
-    )
-
     products = np.empty((n, n_lags), dtype=complex)
     zero_products = np.empty(n, dtype=complex)
-    los_products = np.empty((n, n_lags), dtype=complex) if analytical else None
-    nlos_products = np.empty((n, n_lags), dtype=complex) if analytical else None
 
     f_arr = np.array([f], dtype=float)
     for k, scene in enumerate(scenes):
         cir1 = cir_snapshot(link[0], link[1], link[2], scene, t)
         h1 = _response(cir1.powers, cir1.delays, f_arr)[0] if cir1.powers.size else 0j
         zero_products[k] = h1 * np.conj(h1)
-        h1_n = None
-        if analytical:
-            nlos1 = cir1.nlos_only()
-            h1_n = (
-                _response(nlos1.powers, nlos1.delays, f_arr)[0]
-                if nlos1.powers.size
-                else 0j
-            )
 
         for dt_u in np.unique(dt_arr):
             sel = dt_arr == dt_u
@@ -246,22 +213,6 @@ def stfcf(
             else:
                 h2 = np.zeros(freqs.size, dtype=complex)
             products[k, sel] = h1 * np.conj(h2)
-            if analytical:
-                los2 = cir2.filtered(cir2.kinds == 0)
-                nlos2 = cir2.nlos_only()
-                h2_l = (
-                    _response(los2.powers, los2.delays, freqs)
-                    if los2.powers.size
-                    else np.zeros(freqs.size, dtype=complex)
-                )
-                h2_n = (
-                    _response(nlos2.powers, nlos2.delays, freqs)
-                    if nlos2.powers.size
-                    else np.zeros(freqs.size, dtype=complex)
-                )
-                h1_l = h1 - h1_n
-                los_products[k, sel] = h1_l * np.conj(h2_l)
-                nlos_products[k, sel] = h1_n * np.conj(h2_n)
 
     return CorrelationSeries(
         dt=dt_arr,
@@ -276,25 +227,22 @@ def stfcf(
         t=t,
         f=f,
         n_runs=n,
-        analytical_los=None if not analytical else los_products.mean(axis=0),
-        analytical_nlos=None if not analytical else surv * nlos_products.mean(axis=0),
-        survival=surv,
     )
 
 
-def acf(scenes, link, t, f, dt_lags, analytical: bool = False) -> CorrelationSeries:
+def acf(scenes, link, t, f, dt_lags) -> CorrelationSeries:
     """Temporal autocorrelation: same sub-channel, frequency offset zero."""
-    return stfcf(scenes, link, link, t, f, dt_lags, 0.0, analytical=analytical)
+    return stfcf(scenes, link, link, t, f, dt_lags, 0.0)
 
 
-def fcf(scenes, link, t, f, df_lags, analytical: bool = False) -> CorrelationSeries:
+def fcf(scenes, link, t, f, df_lags) -> CorrelationSeries:
     """Frequency correlation: same sub-channel, time offset zero."""
-    return stfcf(scenes, link, link, t, f, 0.0, df_lags, analytical=analytical)
+    return stfcf(scenes, link, link, t, f, 0.0, df_lags)
 
 
-def ccf(scenes, link, other_link, t, f, analytical: bool = False) -> CorrelationSeries:
+def ccf(scenes, link, other_link, t, f) -> CorrelationSeries:
     """Space correlation between two elements at zero time/frequency lag."""
-    return stfcf(scenes, link, other_link, t, f, 0.0, 0.0, analytical=analytical)
+    return stfcf(scenes, link, other_link, t, f, 0.0, 0.0)
 
 
 # === scalar link metrics ===

@@ -11,17 +11,16 @@ import time
 import numpy as np
 
 import oracles
-from test_channel import _oracle_inputs, _random_setup
+from test_channel import _only_tap, _oracle_inputs, _random_setup
 from vlcsim import (
     ArrayOrientation,
     EvolutionParams,
+    TapKind,
     cir_snapshot,
     default_config,
     fit_ci,
-    los_tap,
     rms_delay_spread,
     run_experiment,
-    sb_tap,
     transfer,
 )
 from vlcsim.geometry import cart_to_sph, cluster_equivalent_normal, gcs_to_lcs11
@@ -47,24 +46,27 @@ def _abs_normalized(products: np.ndarray, zeros: np.ndarray):
 
 def test_criterion_1_los_hand_check():
     scene = default_config().build_scene(SEED)
-    los_tap(1, 1, 1, scene, 0.0)  # warm caches
+    hidden = np.zeros_like(scene.visibility)  # direct path only
+    cir_snapshot(1, 1, 1, scene, 0.0, visibility=hidden)  # warm caches
     t0 = time.perf_counter()
-    tap = los_tap(1, 1, 1, scene, 0.0)
+    cir = cir_snapshot(1, 1, 1, scene, 0.0, visibility=hidden)
     elapsed = time.perf_counter() - t0
+    power, delay = cir.powers[0], cir.delays[0]
 
     want_power = 1e-4 / (4.0 * math.pi)  # (1/pi) * A / D^2 at boresight
     want_delay = 2.0 / 2.99792458e8
     ok = (
-        abs(tap.power - want_power) <= 1e-10
-        and abs(tap.delay - want_delay) <= 1e-12
-        and abs(tap.delay - 6.6713e-9) <= 1e-12
+        cir.kinds.tolist() == [int(TapKind.LOS)]
+        and abs(power - want_power) <= 1e-10
+        and abs(delay - want_delay) <= 1e-12
+        and abs(delay - 6.6713e-9) <= 1e-12
         and elapsed < 1e-3
     )
     _report(
         1,
         ok,
-        f"power={tap.power:.10e} W (target {want_power:.10e} +/- 1e-10), "
-        f"delay={tap.delay * 1e9:.6f} ns (target 6.6713 +/- 0.001), "
+        f"power={power:.10e} W (target {want_power:.10e} +/- 1e-10), "
+        f"delay={delay * 1e9:.6f} ns (target 6.6713 +/- 0.001), "
         f"runtime={elapsed * 1e6:.0f} us < 1000 us",
     )
 
@@ -84,13 +86,13 @@ def test_criterion_2_oracle_equivalence():
             rx, n_pd, p["area_pd"], p["fov"],
             filter_gain=p["filter"], conc_gain=conc,
         )
-        got = sb_tap(p["i"], p["j"], 1, 0, 0, scene, p["t"])
+        got = _only_tap(cir_snapshot(p["i"], p["j"], 1, scene, p["t"]), TapKind.SB)
         assert (want is None) == (got is None)
         if want is not None:
             worst = max(
                 worst,
-                abs(got.power - want[0]) / want[0],
-                abs(got.delay - want[1]) / want[1],
+                abs(got[0] - want[0]) / want[0],
+                abs(got[1] - want[1]) / want[1],
             )
             checked += 1
 
@@ -109,7 +111,7 @@ def test_criterion_2_oracle_equivalence():
     _report(
         2,
         ok,
-        f"sb_tap vs straight-line: {checked} live rays of 100 scenes, "
+        f"single-bounce tap vs straight-line: {checked} live rays of 100 scenes, "
         f"worst rel err {worst:.2e} <= 1e-12; "
         f"rms vs moment oracle worst rel err {rms_worst:.2e} <= 1e-12",
     )

@@ -10,17 +10,13 @@ from vlcsim import (
     EvolutionParams,
     LambertianPattern,
     LedArray,
-    RayTap,
     Receiver,
     RxOptics,
     SPEED_OF_LIGHT,
     TapKind,
     channel_over_time,
     cir_snapshot,
-    db_tap,
     default_config,
-    los_tap,
-    sb_tap,
 )
 from vlcsim.geometry import ArrayOrientation, direction
 from vlcsim.scene import ClusterSet, Scene
@@ -37,6 +33,18 @@ def _cluster(scatterer, normal, gamma, area, speed=0.0, travel_az=0.0):
         area_per_scatterer=area,
         velocity=speed * direction(travel_az, 0.0),
     )
+
+
+def _only_tap(cir, kind):
+    """(power, delay) of the single ``kind`` tap of ``cir``, or None."""
+    hit = np.flatnonzero(cir.kinds == int(kind))
+    assert hit.size <= 1
+    return None if hit.size == 0 else (cir.powers[hit[0]], cir.delays[hit[0]])
+
+
+def _los_cir(scene, t):
+    """Direct path of sub-channel (1, 1, 1) alone: every cluster hidden."""
+    return cir_snapshot(1, 1, 1, scene, t, visibility=np.zeros_like(scene.visibility))
 
 
 def _random_setup(rng, double):
@@ -185,14 +193,15 @@ def test_sb_tap_matches_straight_line_reference():
             p["area_a"], rx, n_pd, p["area_pd"], p["fov"],
             filter_gain=p["filter"], conc_gain=conc,
         )
-        got = sb_tap(p["i"], p["j"], 1, 0, 0, scene, p["t"])
+        cir = cir_snapshot(p["i"], p["j"], 1, scene, p["t"])
+        assert not np.any(cir.kinds == int(TapKind.DB))
+        got = _only_tap(cir, TapKind.SB)
         if want is None:
             assert got is None
             continue
         assert got is not None
-        assert got.power == pytest.approx(want[0], rel=1e-12)
-        assert got.delay == pytest.approx(want[1], rel=1e-12)
-        assert got.kind == TapKind.SB
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
         agreements += 1
     # the draw must exercise plenty of unpruned rays, not just empty ones
     assert agreements >= 20
@@ -218,49 +227,32 @@ def test_db_tap_matches_straight_line_reference():
             rx, n_pd, p["area_pd"], p["fov"],
             filter_gain=p["filter"], conc_gain=conc,
         )
-        got = db_tap(p["i"], p["j"], 1, 0, 0, scene, p["t"])
+        cir = cir_snapshot(p["i"], p["j"], 1, scene, p["t"])
+        assert not np.any(cir.kinds == int(TapKind.SB))
+        got = _only_tap(cir, TapKind.DB)
         if want is None:
             assert got is None
             continue
         assert got is not None
-        assert got.power == pytest.approx(want[0], rel=1e-12)
-        assert got.delay == pytest.approx(want[1], rel=1e-12)
-        assert got.kind == TapKind.DB
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
         agreements += 1
     assert agreements >= 20
 
 
-def test_tap_kind_guards():
-    rng = np.random.default_rng(3)
-    sb_scene, _ = _random_setup(rng, double=False)
-    db_scene, _ = _random_setup(rng, double=True)
-    with pytest.raises(ValueError):
-        db_tap(1, 1, 1, 0, 0, sb_scene, 0.0)
-    with pytest.raises(ValueError):
-        sb_tap(1, 1, 1, 0, 0, db_scene, 0.0)
-
-
 def test_los_tap_default_link():
     scene = default_config().build_scene(SEED)
-    tap = los_tap(1, 1, 1, scene, 0.0)
-    assert tap is not None
-    assert tap.kind == TapKind.LOS
+    cir = _los_cir(scene, 0.0)
+    assert cir.kinds.tolist() == [int(TapKind.LOS)]
     # boresight link, 2 m: (1/pi) * 1e-4 / 4 and the straight flight time
-    assert tap.power == pytest.approx(1e-4 / (4.0 * math.pi), abs=1e-10)
-    assert tap.delay == pytest.approx(2.0 / SPEED_OF_LIGHT, abs=1e-12)
+    assert cir.powers[0] == pytest.approx(1e-4 / (4.0 * math.pi), abs=1e-10)
+    assert cir.delays[0] == pytest.approx(2.0 / SPEED_OF_LIGHT, abs=1e-12)
 
 
 def test_los_tap_none_outside_fov():
     cfg = default_config().merged({"receiver": {"azimuth_deg": 0.0}})
     scene = cfg.build_scene(SEED)
-    assert los_tap(1, 1, 1, scene, 0.0) is None
-
-
-def test_ray_tap_validation():
-    with pytest.raises(ValueError):
-        RayTap(-1.0, 1e-9, TapKind.LOS)
-    with pytest.raises(ValueError):
-        RayTap(1.0, 0.0, TapKind.LOS)
+    assert _los_cir(scene, 0.0).powers.size == 0
 
 
 SMALL = {
@@ -326,13 +318,12 @@ def test_cir_snapshot_structure():
     assert cir.element == (1, 2) and cir.pd == 1 and cir.time == 0.0
     assert np.all(np.diff(cir.delays) >= 0.0)
     assert np.all(cir.powers > 0.0)
+    assert np.all((cir.delays > 0.0) & np.isfinite(cir.delays))
     assert cir.dc_gain == pytest.approx(cir.powers.sum())
     # LoS, when present, is the earliest arrival
     assert cir.kinds[0] == int(TapKind.LOS)
     assert cir.clusters[0] == -1 and cir.scatterers[0] == -1
-    taps = cir.taps
-    assert len(taps) == cir.powers.size
-    assert taps[0].kind == TapKind.LOS and taps[0].cluster is None
+    assert np.all(cir.clusters[1:] >= 0) and np.all(cir.scatterers[1:] >= 0)
     nlos = cir.nlos_only()
     assert nlos.powers.size == cir.powers.size - 1
     assert np.all(nlos.kinds != int(TapKind.LOS))
@@ -354,13 +345,13 @@ def test_cir_taps_respect_field_of_view():
     snap = scene.at(t)
     rx = snap.rx_position
     n_pd = snap.pd_normals[0]
-    for tap in cir.taps:
-        if tap.kind == TapKind.SB:
-            point = snap.tx_scatterers[tap.cluster, tap.scatterer]
-        elif tap.kind == TapKind.DB:
-            z = scene.partner[tap.cluster]
+    for kind, c, s in zip(cir.kinds, cir.clusters, cir.scatterers):
+        if kind == TapKind.SB:
+            point = snap.tx_scatterers[c, s]
+        elif kind == TapKind.DB:
+            z = scene.partner[c]
             m_z = scene.rx.scatterers0.shape[1]
-            point = snap.rx_scatterers[z, tap.scatterer % m_z]
+            point = snap.rx_scatterers[z, s % m_z]
         else:
             point = scene.array.element_position(1, 1)
         u = (rx - point) / np.linalg.norm(rx - point)
@@ -399,7 +390,8 @@ def test_scene_without_clusters_is_line_of_sight_only():
     cir = cir_snapshot(1, 1, 1, scene, 1.0)
     assert np.all(cir.kinds == int(TapKind.LOS))
     assert cir.powers.size == 1
-    assert cir.dc_gain == pytest.approx(los_tap(1, 1, 1, scene, 1.0).power, rel=1e-12)
+    # boresight link, 2 m: (1/pi) * 1e-4 / 4
+    assert cir.dc_gain == pytest.approx(1e-4 / (4.0 * math.pi), abs=1e-10)
     for matrix in channel_over_time(scene, [0.0, 1.0]):
         for one in matrix:
             assert np.all(one.kinds == int(TapKind.LOS))

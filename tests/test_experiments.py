@@ -150,6 +150,10 @@ def test_run_experiment_provenance(ccf_table):
 def test_run_experiment_thread_count_does_not_change_bytes(ccf_table):
     pooled = run_experiment("ccf-space", default_config(), ensemble=3, threads=4)
     assert pooled.to_csv() == ccf_table.to_csv()
+    # the same count set in the config tree, where the hash also sees it
+    configured = default_config().merged({"ensemble": {"threads": 2}})
+    pooled = run_experiment("ccf-space", configured, ensemble=3)
+    assert pooled.to_csv() == ccf_table.to_csv()
 
 
 def test_run_experiment_seed_changes_rows(ccf_table):
@@ -181,6 +185,18 @@ def test_cli_rejects_bad_config(tmp_path):
     typo = tmp_path / "typo.yaml"
     typo.write_text("receiver:\n  fov: 60\n")
     assert main(["--experiment", "ccf-space", "--config", str(typo)]) == 2
+    # data files that do not exist fail at load, before anything runs
+    missing = tmp_path / "missing.csv"
+    for name, text in [
+        ("pattern.yaml", f"array:\n  pattern: {{type: file, path: {missing}}}\n"),
+        ("led.yaml", f"spectrum:\n  led: {missing}\n"),
+    ]:
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        out = tmp_path / name.replace(".yaml", "")
+        assert main(["--experiment", "ccf-space", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_rejects_non_finite_config(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from vlcsim import (
     AnglePair,
     ArrayOrientation,
@@ -21,7 +22,6 @@ from vlcsim.geometry import (
     invert_frame,
     led_position,
     pd_normals,
-    point_to_lcs_ij,
     points_to_lcs_ij,
     sph_angles,
     sph_to_cart,
@@ -174,15 +174,23 @@ def test_led_position_spacing_scales():
 
 def test_point_to_lcs_ij_vectorized_agrees():
     rng = np.random.default_rng(SEED + 6)
-    frame = gcs_to_lcs11(DEFAULT_ORIENTATION)
-    inv = invert_frame(frame)
     points = rng.uniform(-4.0, 4.0, size=(50, 3))
-    for (i, j) in [(1, 1), (2, 3), (4, 4)]:
-        az, el = points_to_lcs_ij(points, i, j, inv, 1.0, 1.0)
+    tilted = ArrayOrientation(0.4, 0.3, 2.0, 0.9)
+    for orientation, (i, j) in [
+        (DEFAULT_ORIENTATION, (1, 1)),
+        (DEFAULT_ORIENTATION, (2, 3)),
+        (tilted, (2, 3)),
+        (tilted, (4, 4)),
+    ]:
+        inv = invert_frame(gcs_to_lcs11(orientation))
+        frame = oracles.frame_from_axes(*orientation)
+        az, el = points_to_lcs_ij(points, i, j, inv, 0.5, 0.75)
         for k in range(points.shape[0]):
-            pair = point_to_lcs_ij(points[k], i, j, frame, 1.0, 1.0)
-            assert az[k] == pytest.approx(pair.azimuth, abs=1e-12)
-            assert el[k] == pytest.approx(pair.elevation, abs=1e-12)
+            want_az, want_el = oracles.local_angles(
+                points[k], 0.0, frame, (j - 1) * 0.75, (i - 1) * 0.5
+            )
+            assert az[k] == pytest.approx(want_az, abs=1e-12)
+            assert el[k] == pytest.approx(want_el, abs=1e-12)
 
 
 def test_point_to_lcs_ij_recovers_offset_point():
@@ -190,9 +198,9 @@ def test_point_to_lcs_ij_recovers_offset_point():
     frame = gcs_to_lcs11(DEFAULT_ORIENTATION)
     base = led_position(2, 3, DEFAULT_ORIENTATION, 1.0, 1.0)
     ahead = base + np.array([2.0, 0.0, 0.0])
-    pair = point_to_lcs_ij(ahead, 2, 3, frame, 1.0, 1.0)
-    assert pair.azimuth == pytest.approx(0.0, abs=1e-12)
-    assert pair.elevation == pytest.approx(0.0, abs=1e-12)
+    az, el = points_to_lcs_ij(ahead, 2, 3, invert_frame(frame), 1.0, 1.0)
+    assert az == pytest.approx(0.0, abs=1e-12)
+    assert el == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pd_normals_single_detector():
