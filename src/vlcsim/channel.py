@@ -127,13 +127,13 @@ def _bounce_arrays(
     n_pd = snapshot.pd_normals[p - 1]
     rx_opt = scene.receiver.optics
 
-    s_a = snapshot.tx_scatterers[idx]            # (n, m, 3)
+    s_a, normal_a, gamma_a = scene.tx.take(idx, snapshot.time)   # (n, m, 3)
     n_cl, m = s_a.shape[:2]
     s_a = s_a.reshape(-1, 3)
     cluster_id = np.repeat(idx, m)
     scatterer_id = np.tile(np.arange(m), n_cl)
-    normal_a = np.repeat(scene.tx.normals[idx], m, axis=0)
-    gamma_a = np.repeat(scene.tx.reflectance[idx], m)
+    normal_a = np.repeat(normal_a, m, axis=0)
+    gamma_a = np.repeat(gamma_a, m)
 
     vec_t = s_a - led
     d_t = np.linalg.norm(vec_t, axis=1)
@@ -144,13 +144,12 @@ def _bounce_arrays(
     ok &= cos_in_a >= 0.0
 
     if double:
-        pt = scene.partner[idx]
-        s_z = snapshot.rx_scatterers[pt]        # (n, m_z, 3)
+        s_z, normal_z, gamma_z = scene.rx.take(scene.partner[idx], snapshot.time)
         m_z = s_z.shape[1]
         cols = np.arange(m) % m_z               # index-aligned pairing
         s_z = s_z[:, cols, :].reshape(-1, 3)
-        normal_z = np.repeat(scene.rx.normals[pt], m, axis=0)
-        gamma_z = np.repeat(scene.rx.reflectance[pt], m)
+        normal_z = np.repeat(normal_z, m, axis=0)
+        gamma_z = np.repeat(gamma_z, m)
         vec_s = s_z - s_a
         d_s = np.linalg.norm(vec_s, axis=1)
         ok &= d_s > 1e-12

@@ -16,7 +16,6 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     UnknownExperimentError,
-    VlcSimError,
 )
 from .experiments import export, list_experiments, run_experiment
 
@@ -72,11 +71,11 @@ def main(argv=None) -> int:
     except UnknownExperimentError as exc:
         print(f"vlcsim: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ConfigValidationError as exc:
         print(f"vlcsim: config error: {exc}", file=sys.stderr)
         return 2
-    except VlcSimError as exc:
-        print(f"vlcsim: runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"vlcsim: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     out_path = Path(args.out) / f"{args.experiment}.{args.format}"

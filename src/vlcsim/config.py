@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -361,18 +362,23 @@ class SimulationConfig:
     def threads(self) -> int:
         return self.data["ensemble"]["threads"]
 
+    @cached_property
+    def _scene_inputs(self) -> dict:
+        # built on the first build_scene and shared by every scene after it;
+        # the tree is never edited in place (merged returns a new config)
+        return {
+            "array": self.led_array(),
+            "receiver": self.receiver(),
+            "evolution": self.evolution(),
+            "distribution": self.distribution(),
+            "gamma_by_material": self.gamma_table(),
+            "material_weights": self.material_weights(),
+            "fingerprint": config_hash(self),
+        }
+
     def build_scene(self, seed: int) -> scene.Scene:
         """Realize one scene; ``seed`` is the per-run sub-seed."""
-        return scene.build_scene(
-            self.led_array(),
-            self.receiver(),
-            self.evolution(),
-            self.distribution(),
-            self.gamma_table(),
-            self.material_weights(),
-            seed,
-            fingerprint=config_hash(self),
-        )
+        return scene.build_scene(seed=seed, **self._scene_inputs)
 
     def run_seeds(self, n: int) -> list[int]:
         """Deterministic per-run seeds derived from the master seed."""

@@ -22,7 +22,7 @@ from . import stats
 from ._version import __version__
 from .channel import channel_over_time, cir_snapshot
 from .config import SimulationConfig, config_hash, default_config
-from .errors import UnknownExperimentError
+from .errors import ConfigValidationError, UnknownExperimentError
 
 __all__ = [
     "PRESETS",
@@ -418,17 +418,20 @@ class Preset:
     description: str
     default_ensemble: int
     func: Callable
+    # correlation estimates need two runs to average over
+    min_ensemble: int = 1
 
 
 PRESETS: dict[str, Preset] = {
     "acf-time": Preset(
-        "temporal autocorrelation at three track anchors", 40, _acf_time),
+        "temporal autocorrelation at three track anchors", 40, _acf_time,
+        min_ensemble=2),
     "ccf-space": Preset(
         "spatial correlation along the array diagonal from two references",
-        40, _ccf_space),
+        40, _ccf_space, min_ensemble=2),
     "fcf-color": Preset(
         "frequency correlation for red/green/blue source spectra",
-        30, _fcf_color),
+        30, _fcf_color, min_ensemble=2),
     "power-vs-distance": Preset(
         "received power over link distance for three element spacings",
         20, _power_vs_distance),
@@ -463,7 +466,8 @@ def run_experiment(
 
     ``ensemble`` overrides the preset's default run count and ``threads``
     the config's worker count; neither changes the statistical meaning of
-    a row, and threads never change the bytes produced.
+    a row, and threads never change the bytes produced. Out-of-range
+    values raise ConfigValidationError before any scene is built.
     """
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
@@ -472,11 +476,12 @@ def run_experiment(
     if cfg is None:
         cfg = default_config()
     n_runs = preset.default_ensemble if ensemble is None else int(ensemble)
-    if n_runs < 1:
-        raise ValueError("ensemble size must be at least 1")
+    if n_runs < preset.min_ensemble:
+        raise ConfigValidationError(
+            f"{name} needs an ensemble size of at least {preset.min_ensemble}")
     workers = cfg.threads if threads is None else int(threads)
     if workers < 1:
-        raise ValueError("thread count must be at least 1")
+        raise ConfigValidationError("thread count must be at least 1")
     columns, units, rows, extras = preset.func(cfg, n_runs, workers)
     provenance = {
         "config_hash": config_hash(cfg),

@@ -260,17 +260,20 @@ def pd_normals(
     A single detector points along its (azimuth, elevation) direction.
     An angle-diversity layout has one top detector along that direction
     plus ``n_pd - 1`` side detectors tilted by ``theta_pd`` and spread
-    uniformly in local azimuth. Rotation advances every detector's
-    azimuth/elevation linearly in time.
+    uniformly in local azimuth. Rotation advances the head's azimuth and
+    elevation linearly in time; the side detectors keep their place in
+    the head frame, so the head turns as a rigid body.
     """
     if n_pd < 1:
         raise InvalidAdrError("receiver needs at least one photodetector")
     if n_pd > 1 and not 0.0 < theta_pd < math.pi / 2:
         raise InvalidAdrError("side detector tilt must lie in (0, pi/2)")
 
-    base = [AnglePair(azimuth, elevation)]
+    az = azimuth + rot_azimuth * t
+    el = elevation + rot_elevation * t
+    out = [direction(az, el)]
     if n_pd > 1:
-        m = gcs_to_lcs_pd(azimuth, elevation)
+        m = gcs_to_lcs_pd(az, el)
         gamma = math.pi / 2 - theta_pd
         for p in range(1, n_pd):
             omega = 2.0 * (p - 1) * math.pi / (n_pd - 1)
@@ -282,13 +285,7 @@ def pd_normals(
                 ]
             )
             pair, _ = cart_to_sph(m @ local)
-            base.append(pair)
-
-    out = []
-    for pair in base:
-        az = pair.azimuth + rot_azimuth * t
-        el = pair.elevation + rot_elevation * t
-        out.append(direction(az, el))
+            out.append(direction(pair.azimuth, pair.elevation))
     return out
 
 

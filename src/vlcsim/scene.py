@@ -6,10 +6,12 @@ evolved element-by-element across the array with a birth-death process;
 each cluster owns a cloud of scatterers, an equivalent surface normal and
 an effective reflectance sampled from the bundled material curves.
 
-The clusters of each side live in one :class:`ClusterSet`, a frozen
-struct of arrays with one row per cluster: ``Scene.tx`` holds the
-clusters around the array (indexed like the visibility mask), ``Scene.rx``
-the receiver-side partners of the double-bounce clusters.
+The clusters of each side live in one :class:`ClusterSet`, a struct of
+arrays with one row per cluster: ``Scene.tx`` holds the clusters around
+the array (indexed like the visibility mask), ``Scene.rx`` the
+receiver-side partners of the double-bounce clusters. A row is drawn the
+first time a tap needs it, so an element's evaluation draws only the
+clusters it sees.
 
 All randomness flows from a single integer master seed through named
 sub-streams (visibility, one per cluster, bounce pairing), so rebuilding
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -163,7 +165,6 @@ class ClusterDistribution:
     travel_elevation: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
 class ClusterSet:
     """The realized clusters of one side, one row per cluster.
 
@@ -171,16 +172,69 @@ class ClusterSet:
     positions, ``normals`` (n, 3) the equivalent surface normals and
     ``reflectance`` (n,) the effective reflectances. All clusters of a
     side share the scatterer area and the drift ``velocity`` (3,).
+
+    A set made by :meth:`on_demand` draws row k only when it is first
+    read, through :meth:`take` or a full field, which draws every row.
+    Each row comes from its own stream, so its bits do not depend on
+    which rows were drawn before it. Filling rows is not thread-safe:
+    one set must not be read from two threads at once.
     """
 
-    scatterers0: np.ndarray
-    normals: np.ndarray
-    reflectance: np.ndarray
-    area_per_scatterer: float
-    velocity: np.ndarray
+    def __init__(self, scatterers0, normals, reflectance, area_per_scatterer, velocity):
+        self._scatterers0 = scatterers0
+        self._normals = normals
+        self._reflectance = reflectance
+        self.area_per_scatterer = area_per_scatterer
+        self.velocity = velocity
+        self._draw = None
+        self._drawn = np.ones(len(reflectance), dtype=bool)
+
+    @classmethod
+    def on_demand(cls, n: int, m: int, draw, area_per_scatterer, velocity) -> "ClusterSet":
+        """An n-row set whose row k is ``draw(k)`` = (scatterers, normal,
+        reflectance), called the first time row k is read."""
+        out = cls(np.empty((n, m, 3)), np.empty((n, 3)), np.empty(n),
+                  area_per_scatterer, velocity)
+        out._draw = draw
+        out._drawn[:] = False
+        return out
 
     def __len__(self) -> int:
-        return self.scatterers0.shape[0]
+        return self._reflectance.shape[0]
+
+    def _fill(self, idx: np.ndarray):
+        if self._draw is None:
+            return
+        for k in idx[~self._drawn[idx]]:
+            if not self._drawn[k]:  # idx may name a row twice
+                row = self._draw(int(k))
+                self._scatterers0[k], self._normals[k], self._reflectance[k] = row
+                self._drawn[k] = True
+        if self._drawn.all():
+            self._draw = None
+
+    def take(self, idx: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(scatterers at time ``t``, normals, reflectance) of the rows ``idx``."""
+        self._fill(idx)
+        scatterers = self._scatterers0[idx]
+        if self.velocity.any():  # for a static side, x + 0.0 could only flip a -0.0
+            scatterers = scatterers + self.velocity * t
+        return scatterers, self._normals[idx], self._reflectance[idx]
+
+    @property
+    def scatterers0(self) -> np.ndarray:
+        self._fill(np.arange(len(self)))
+        return self._scatterers0
+
+    @property
+    def normals(self) -> np.ndarray:
+        self._fill(np.arange(len(self)))
+        return self._normals
+
+    @property
+    def reflectance(self) -> np.ndarray:
+        self._fill(np.arange(len(self)))
+        return self._reflectance
 
 
 # === birth-death evolution across the array ===
@@ -341,6 +395,26 @@ def sample_cluster(
     return scatterers, normal, reflectance, material, azimuth, elevation, distance
 
 
+def _draw_cluster(
+    ss: np.random.SeedSequence,
+    side: str,
+    anchor: np.ndarray,
+    dist: ClusterDistribution,
+    distance_mean: float,
+    gamma_by_material: dict[str, float],
+    material_weights: dict[str, float],
+    k: int,
+) -> tuple:
+    """Row k of one side: sample_cluster on the stream ss.spawn(n)[k]."""
+    stream = np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (k,), pool_size=ss.pool_size
+    )
+    return sample_cluster(
+        side, dist, anchor, distance_mean, gamma_by_material, material_weights,
+        np.random.default_rng(stream),
+    )[:3]
+
+
 # === the scene ===
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +503,10 @@ def build_scene(
     """Realize one scene from a master seed.
 
     Sub-streams: one for the visibility evolution, one per cluster (Tx
-    side first, then Rx side), one for the bounce pairing.
+    side first, then Rx side), one for the bounce pairing. Clusters are
+    drawn on demand, when a tap first needs them (see :class:`ClusterSet`),
+    so a center that stays degenerate after 100 redraws raises
+    DegenerateNormalError at that first evaluation, not here.
     """
     if receiver.distance < 1e-12:
         raise ZeroDistanceError("receiver cannot sit on the first LED element")
@@ -458,30 +535,16 @@ def build_scene(
         distribution.travel_azimuth, distribution.travel_elevation
     )
 
-    def pack(side: str, anchor: np.ndarray, streams) -> ClusterSet:
-        rows = [
-            sample_cluster(
-                side,
-                distribution,
-                anchor,
-                distance_mean,
-                gamma_by_material,
-                material_weights,
-                np.random.default_rng(s),
-            )
-            for s in streams
-        ]
-        return ClusterSet(
-            scatterers0=np.array([r[0] for r in rows]).reshape(len(rows), m, 3),
-            normals=np.array([r[1] for r in rows]).reshape(len(rows), 3),
-            reflectance=np.array([r[2] for r in rows], dtype=float),
-            area_per_scatterer=area,
-            velocity=velocity,
+    def clusters(side: str, anchor: np.ndarray, ss, n: int) -> ClusterSet:
+        draw = partial(
+            _draw_cluster, ss, side, anchor, distribution, distance_mean,
+            gamma_by_material, material_weights,
         )
+        return ClusterSet.on_demand(n, m, draw, area, velocity)
 
     n_rx = math.ceil(n_total * (1.0 - distribution.sb_ratio))
-    tx = pack("tx", np.zeros(3), ss_tx.spawn(n_total))
-    rx = pack("rx", receiver.initial_position, ss_rx.spawn(n_rx))
+    tx = clusters("tx", np.zeros(3), ss_tx, n_total)
+    rx = clusters("rx", receiver.initial_position, ss_rx, n_rx)
 
     is_db, partner = assign_bounce(
         n_total, distribution.sb_ratio, np.random.default_rng(ss_pair)

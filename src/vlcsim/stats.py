@@ -198,6 +198,7 @@ def stfcf(
     zero_products = np.empty(n, dtype=complex)
 
     f_arr = np.array([f], dtype=float)
+    same_link = tuple(other_link) == tuple(link)
     for k, scene in enumerate(scenes):
         cir1 = cir_snapshot(link[0], link[1], link[2], scene, t)
         h1 = _response(cir1.powers, cir1.delays, f_arr)[0] if cir1.powers.size else 0j
@@ -206,8 +207,11 @@ def stfcf(
         for dt_u in np.unique(dt_arr):
             sel = dt_arr == dt_u
             freqs = f + df_arr[sel]
-            i2, j2, p2 = other_link
-            cir2 = cir_snapshot(i2, j2, p2, scene, t + dt_u)
+            if same_link and dt_u == 0.0:
+                cir2 = cir1
+            else:
+                i2, j2, p2 = other_link
+                cir2 = cir_snapshot(i2, j2, p2, scene, t + dt_u)
             if cir2.powers.size:
                 h2 = _response(cir2.powers, cir2.delays, freqs)
             else:

@@ -8,7 +8,9 @@ import pytest
 
 from vlcsim import (
     PRESETS,
+    ConfigValidationError,
     ResultTable,
+    SimulationConfig,
     UnknownExperimentError,
     default_config,
     export,
@@ -121,13 +123,18 @@ def test_list_experiments_names_presets():
     assert all(listed.values())
 
 
-def test_run_experiment_guards():
+def test_run_experiment_guards(monkeypatch):
     with pytest.raises(UnknownExperimentError, match="bandwidth-fov"):
         run_experiment("does-not-exist")
-    with pytest.raises(ValueError):
-        run_experiment("ccf-space", ensemble=0)
-    with pytest.raises(ValueError):
+    # run arguments are checked before any scene is built
+    monkeypatch.setattr(SimulationConfig, "build_scene", None)
+    with pytest.raises(ConfigValidationError):
+        run_experiment("rms-adr", ensemble=0)
+    with pytest.raises(ConfigValidationError):
         run_experiment("ccf-space", threads=0)
+    for name in ("acf-time", "ccf-space", "fcf-color"):
+        with pytest.raises(ConfigValidationError, match="at least 2"):
+            run_experiment(name, ensemble=1)
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +215,28 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
     assert not (tmp_path / "rms-adr.csv").exists()
 
 
-def test_cli_rejects_bad_ensemble():
+def test_cli_rejects_bad_ensemble(tmp_path, capsys):
     assert main(["--experiment", "ccf-space", "--ensemble", "0"]) == 2
+    # a correlation needs two runs: refused as a config error, nothing written
+    assert main(["--experiment", "ccf-space", "--ensemble", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "ccf-space.csv").exists()
+
+
+def test_cli_reports_failures_during_a_run_as_runtime_errors(tmp_path, capsys,
+                                                               monkeypatch):
+    import vlcsim.stats
+
+    def broken(cir):
+        raise ValueError("math domain error")
+
+    # raised inside the preset, after its scenes are built
+    monkeypatch.setattr(vlcsim.stats, "rms_delay_spread", broken)
+    assert main(["--experiment", "rms-adr", "--ensemble", "2",
+                 "--out", str(tmp_path)]) == 3
+    assert "runtime error: ValueError: math domain error" in capsys.readouterr().err
+    assert not (tmp_path / "rms-adr.csv").exists()
 
 
 def test_cli_runs_and_writes(tmp_path, capsys):

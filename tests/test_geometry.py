@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vlcsim import (
@@ -229,13 +231,33 @@ def test_pd_normals_adr_geometry():
 
 
 def test_pd_normals_rotation_advances_angles():
+    # the head's angles advance; the side detectors ride along in its frame
     rot_a, rot_e, t = 0.7, -0.3, 0.5
-    still = pd_normals(3, 0.5, 2.0, 0.2, 0.0, 0.0, t)
     moved = pd_normals(3, 0.5, 2.0, 0.2, rot_a, rot_e, t)
-    for n0, n1 in zip(still, moved):
-        pair, _ = cart_to_sph(n0)
-        expect = direction(pair.azimuth + rot_a * t, pair.elevation + rot_e * t)
-        assert np.allclose(n1, expect, atol=1e-12)
+    top = direction(2.0 + rot_a * t, 0.2 + rot_e * t)
+    assert np.allclose(moved[0], top, atol=1e-12)
+    turned = pd_normals(3, 0.5, 2.0 + rot_a * t, 0.2 + rot_e * t, 0.0, 0.0, 0.0)
+    for n1, expect in zip(moved, turned):
+        assert np.array_equal(n1, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_pd=st.integers(2, 6),
+    theta=st.floats(0.05, 1.5),
+    azimuth=st.floats(-math.pi, math.pi),
+    elevation=st.floats(-1.5, 1.5),
+    rot_a=st.floats(-2.0, 2.0),
+    rot_e=st.floats(-2.0, 2.0),
+    t=st.floats(0.0, 10.0),
+)
+def test_pd_normals_head_rotates_as_a_rigid_body(
+    n_pd, theta, azimuth, elevation, rot_a, rot_e, t
+):
+    start = np.array(pd_normals(n_pd, theta, azimuth, elevation, rot_a, rot_e, 0.0))
+    later = np.array(pd_normals(n_pd, theta, azimuth, elevation, rot_a, rot_e, t))
+    assert np.allclose(np.linalg.norm(later, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(later @ later.T, start @ start.T, atol=1e-12)
 
 
 def test_pd_normals_invalid_layouts():

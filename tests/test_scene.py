@@ -1,16 +1,23 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vlcsim.scene
 from vlcsim import (
     ArrayOrientation,
     ClusterDistribution,
     EvolutionParams,
     LedArray,
     Receiver,
+    SimulationConfig,
     ZeroDistanceError,
     build_scene,
+    channel_over_time,
+    cir_snapshot,
     default_config,
     gamma_table,
 )
@@ -213,6 +220,16 @@ def test_cluster_set_rows_come_from_their_own_streams():
             assert np.array_equal(clusters.normals[k], normal)
             assert clusters.reflectance[k] == reflectance
 
+    # rows drawn one at a time, in reverse order, come out the same
+    fresh = cfg.build_scene(SEED)
+    for side in ("tx", "rx"):
+        want, got = getattr(scene, side), getattr(fresh, side)
+        for k in reversed(range(len(got))):
+            scatterers, normal, reflectance = got.take(np.array([k]), 0.0)
+            assert np.array_equal(scatterers[0], want.scatterers0[k])
+            assert np.array_equal(normal[0], want.normals[k])
+            assert reflectance[0] == want.reflectance[k]
+
 
 def test_build_scene_deterministic():
     cfg = default_config()
@@ -302,3 +319,93 @@ def test_gamma_table_integrated_values():
         assert 0.0 < g < 1.0
     # a mostly transparent surface reflects less than a painted wall
     assert table["plate_glass"] < table["plaster"]
+
+
+MOVING = {
+    "receiver": {"speed_m_s": 0.5, "travel_elevation_deg": 90.0},
+    "clusters": {"speed_m_s": 0.25, "travel_azimuth_deg": 180.0, "sb_ratio": 0.7},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    i=st.integers(1, 4),
+    j=st.integers(1, 4),
+    t=st.sampled_from([0.0, 0.37]),
+)
+def test_on_demand_clusters_give_the_same_taps_as_drawing_all(seed, i, j, t):
+    cfg = default_config().merged(MOVING)
+    lazy = cfg.build_scene(seed)
+    eager = cfg.build_scene(seed)
+    # reading a full field draws every row of its side
+    assert eager.tx.scatterers0.shape[0] == len(eager.tx)
+    assert eager.rx.scatterers0.shape[0] == len(eager.rx)
+    a = cir_snapshot(i, j, 1, lazy, t)
+    b = cir_snapshot(i, j, 1, eager, t)
+    for field in ("powers", "delays", "kinds", "clusters", "scatterers"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_evaluation_draws_only_the_clusters_it_sees(monkeypatch):
+    calls = []
+
+    def counted(side, *args):
+        calls.append(side)
+        return sample_cluster(side, *args)
+
+    monkeypatch.setattr(vlcsim.scene, "sample_cluster", counted)
+    scene = default_config().build_scene(SEED)
+    # neither building nor reading the bookkeeping draws a cluster
+    assert scene.visibility.shape[2] == len(scene.tx) == scene.is_db.size
+    assert scene.partner.max() < len(scene.rx)
+    assert scene.distribution.scatterers_per_cluster == 100
+    assert calls == []
+
+    cir_snapshot(1, 1, 1, scene, 0.0)
+    visible = scene.visible_indices(1, 1)
+    partners = set(scene.partner[visible[scene.is_db[visible]]])
+    assert calls.count("tx") == visible.size
+    assert calls.count("rx") == len(partners)
+    cir_snapshot(1, 1, 1, scene, 0.5)
+    assert len(calls) == visible.size + len(partners)
+
+    channel_over_time(scene, [0.0])
+    assert calls.count("tx") == len(scene.tx)
+    assert calls.count("rx") == len(scene.rx)
+
+
+def test_config_builds_its_tables_once(monkeypatch):
+    calls = []
+    for name in ("pattern", "gamma_table"):
+        method = getattr(SimulationConfig, name)
+
+        def counted(self, method=method, name=name):
+            calls.append(name)
+            return method(self)
+
+        monkeypatch.setattr(SimulationConfig, name, counted)
+
+    cfg = default_config()
+    assert calls == []
+    scenes = [cfg.build_scene(s) for s in (1, 2, 3)]
+    assert sorted(calls) == ["gamma_table", "pattern"]
+    assert scenes[0].array is scenes[2].array
+
+    # a merged config is a new value with its own tables
+    other = cfg.merged({"receiver": {"fov_deg": 60.0}})
+    assert len(calls) == 2
+    fov = other.build_scene(1).receiver.optics.fov
+    assert fov == pytest.approx(math.radians(60.0))
+    other.build_scene(2)
+    assert sorted(calls) == ["gamma_table", "gamma_table", "pattern", "pattern"]
+    assert scenes[0].receiver.optics.fov == pytest.approx(math.radians(85.0))
+
+
+def test_part_drawn_scene_pickles_and_draws_on():
+    scene = default_config().build_scene(SEED)
+    cir_snapshot(1, 1, 1, scene, 0.0)
+    copy = pickle.loads(pickle.dumps(scene))
+    a = cir_snapshot(4, 4, 1, scene, 0.0)
+    b = cir_snapshot(4, 4, 1, copy, 0.0)
+    assert np.array_equal(a.powers, b.powers) and np.array_equal(a.delays, b.delays)

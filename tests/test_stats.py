@@ -314,3 +314,29 @@ def test_stfcf_values_are_product_means():
     assert series.zero_lag == pytest.approx(
         float(series.zero_lag_products.mean().real), rel=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "estimate, calls_per_scene",
+    [
+        (lambda scenes: fcf(scenes, (1, 1, 1), 0.0, 0.0, [0.0, 1e7]), 1),
+        (lambda scenes: acf(scenes, (1, 1, 1), 0.0, 1e8, [0.0, 0.05]), 2),
+        (lambda scenes: ccf(scenes, (1, 1, 1), (2, 2, 1), 0.0, 0.0), 2),
+    ],
+    ids=["fcf", "acf", "ccf"],
+)
+def test_stfcf_evaluates_each_distinct_cir_once(monkeypatch, estimate, calls_per_scene):
+    # the anchor CIR doubles as the zero-lag CIR of the same link
+    import vlcsim.stats
+
+    _, scenes = _ensemble(3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return cir_snapshot(*args, **kwargs)
+
+    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", counted)
+    estimate(scenes)
+    for scene in scenes:
+        assert sum(s is scene for s in calls) == calls_per_scene
