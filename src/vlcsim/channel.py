@@ -242,11 +242,7 @@ def cir_snapshot(
             (pw, dl, np.full(pw.size, int(kind), dtype=np.int8), cid, sid)
         )
 
-    powers = np.concatenate([x[0] for x in parts]) if parts else np.empty(0)
-    delays = np.concatenate([x[1] for x in parts]) if parts else np.empty(0)
-    kinds = np.concatenate([x[2] for x in parts]) if parts else np.empty(0, dtype=np.int8)
-    clusters = np.concatenate([x[3] for x in parts]) if parts else np.empty(0, dtype=int)
-    scats = np.concatenate([x[4] for x in parts]) if parts else np.empty(0, dtype=int)
+    powers, delays, kinds, clusters, scats = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(delays, kind="stable")
     return Cir(
         powers[order],

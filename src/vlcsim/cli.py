@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ensemble", type=int, metavar="N",
                         help="override the preset's Monte-Carlo run count")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads; never changes the output bytes")
+                        help="deprecated; ignored (runs are serial)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
     return parser

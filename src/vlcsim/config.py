@@ -8,6 +8,9 @@ at the first element, 85 degree field of view, white LED over 380-780 nm
 and the four-material reflectance mix.
 
 Unknown keys anywhere in the tree are rejected, so typos fail loudly.
+The ``time`` section, ``ensemble.size`` and ``ensemble.threads`` are
+deprecated: nothing reads them, so they are still accepted and validated
+but a non-default value warns and never changes the config hash.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import copy
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -111,6 +115,13 @@ DEFAULTS: dict = {
 
 _PATTERN_TYPES = ("lambertian", "narrow", "batwing", "file")
 
+# deprecated keys, with their defaults: still validated, read by nothing
+_DEPRECATED = {
+    f"{section}.{key}": DEFAULTS[section][key]
+    for section, key in (("time", "start_s"), ("time", "stop_s"), ("time", "step_s"),
+                         ("ensemble", "size"), ("ensemble", "threads"))
+}
+
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
@@ -123,6 +134,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigValidationError(f"{where} must be a mapping")
             out[key] = _merge(base[key], value, where)
         else:
+            if where in _DEPRECATED and value != _DEPRECATED[where]:
+                warnings.warn(f"{where} is deprecated and ignored", FutureWarning)
             out[key] = value
     return out
 
@@ -132,11 +145,7 @@ def _require(cond: bool, message: str):
         raise ConfigValidationError(message)
 
 
-def _num(tree, section, key, lo=None, hi=None, integer=False, optional=False):
-    value = tree[section][key]
-    if value is None and optional:
-        return None
-    where = f"{section}.{key}"
+def _number(value, where, lo=None, hi=None, integer=False):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where} must be a number")
     _require(math.isfinite(value), f"{where} must be finite")
@@ -148,6 +157,13 @@ def _num(tree, section, key, lo=None, hi=None, integer=False, optional=False):
     if hi is not None:
         _require(value <= hi, f"{where} must be <= {hi}")
     return value
+
+
+def _num(tree, section, key, lo=None, hi=None, integer=False, optional=False):
+    value = tree[section][key]
+    if value is None and optional:
+        return None
+    return _number(value, f"{section}.{key}", lo, hi, integer)
 
 
 def _validate(tree: dict):
@@ -163,8 +179,7 @@ def _validate(tree: dict):
     _require(pattern["type"] in _PATTERN_TYPES,
              f"array.pattern.type must be one of {_PATTERN_TYPES}")
     if pattern["type"] == "lambertian":
-        _require(isinstance(pattern["order"], (int, float)) and pattern["order"] >= 0,
-                 "array.pattern.order must be >= 0")
+        _number(pattern["order"], "array.pattern.order", lo=0)
     if pattern["type"] == "file":
         path = pattern["path"]
         _require(isinstance(path, str) and Path(path).is_file(),
@@ -215,11 +230,8 @@ def _validate(tree: dict):
     hi = _num(tree, "spectrum", "wavelength_hi_nm", lo=100.0)
     _require(lo <= hi, "spectrum wavelength window is inverted")
     weights = tree["spectrum"]["material_weights"]
-    total = 0.0
-    for name, w in weights.items():
-        _require(isinstance(w, (int, float)) and w >= 0.0,
-                 f"spectrum.material_weights.{name} must be >= 0")
-        total += w
+    total = sum(_number(w, f"spectrum.material_weights.{name}", lo=0)
+                for name, w in weights.items())
     _require(total > 0.0, "material weights must not all be zero")
 
     _num(tree, "time", "start_s")
@@ -342,17 +354,9 @@ class SimulationConfig:
             self.material_weights(),
         )
 
-    def time_grid(self) -> np.ndarray:
-        t = self.data["time"]
-        return np.arange(t["start_s"], t["stop_s"] + t["step_s"] / 2, t["step_s"])
-
     def frequency_grid(self) -> np.ndarray:
         f = self.data["frequency"]
         return np.linspace(0.0, f["max_hz"], f["points"])
-
-    @property
-    def ensemble_size(self) -> int:
-        return self.data["ensemble"]["size"]
 
     @property
     def master_seed(self) -> int:
@@ -360,6 +364,7 @@ class SimulationConfig:
 
     @property
     def threads(self) -> int:
+        """Deprecated ``ensemble.threads``; runs are always serial."""
         return self.data["ensemble"]["threads"]
 
     @cached_property
@@ -419,7 +424,10 @@ def save_config(cfg: SimulationConfig, path):
 
 def config_hash(cfg: SimulationConfig) -> str:
     """sha256 over the canonical JSON form; changes iff any field changes,
-    except ``ensemble.threads``, which never changes the output bytes."""
-    tree = {**cfg.data, "ensemble": {**cfg.data["ensemble"], "threads": 1}}
+    except the deprecated keys, which count as their defaults."""
+    tree = dict(cfg.data)
+    for where, default in _DEPRECATED.items():
+        section, key = where.split(".")
+        tree[section] = {**tree[section], key: default}
     blob = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -1,17 +1,17 @@
 """Prebuilt sweeps that exercise the simulator end to end.
 
 Each preset derives an effective configuration from the one passed in,
-realizes an ensemble of random scenes, reduces the runs in index order
-(so output never depends on the worker-thread count) and returns a
-ResultTable ready for CSV or JSON export. Randomness comes only from
-per-run seeds spawned off the master seed; reruns are byte-identical.
+realizes an ensemble of random scenes one after another, reduces the
+runs in index order and returns a ResultTable ready for CSV or JSON
+export. Randomness comes only from per-run seeds spawned off the master
+seed; reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -130,27 +130,13 @@ def export(table: ResultTable, path, fmt: str):
         raise ValueError(f"unknown export format: {fmt!r}")
 
 
-def ensemble_map(worker: Callable, seeds, threads: int) -> list:
-    """Run ``worker(index, seed)`` per seed; results ordered by index.
-
-    The reduction order is fixed by the seed list, so any thread count
-    produces the same list.
-    """
-    results = [None] * len(seeds)
-    if threads <= 1:
-        for k, s in enumerate(seeds):
-            results[k] = worker(k, s)
-        return results
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, k, s): k for k, s in enumerate(seeds)}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
+def ensemble_map(worker: Callable, seeds) -> list:
+    """Run ``worker(index, seed)`` per seed, in order; results ordered by index."""
+    return [worker(k, s) for k, s in enumerate(seeds)]
 
 
-def _build_scenes(cfg: SimulationConfig, n_runs: int, threads: int) -> list:
-    seeds = cfg.run_seeds(n_runs)
-    return ensemble_map(lambda k, s: cfg.build_scene(s), seeds, threads)
+def _build_scenes(cfg: SimulationConfig, n_runs: int) -> list:
+    return ensemble_map(lambda k, s: cfg.build_scene(s), cfg.run_seeds(n_runs))
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -171,7 +157,7 @@ def _total_power(cfg: SimulationConfig, seed: int, t: float = 0.0) -> float:
 
 # === presets ===
 
-def _acf_time(cfg, n_runs, threads):
+def _acf_time(cfg, n_runs):
     eff = cfg.merged({
         "receiver": {
             "speed_m_s": 0.5,
@@ -180,7 +166,7 @@ def _acf_time(cfg, n_runs, threads):
         },
     })
     lags = np.round(np.arange(0.0, 0.2000001, 0.01), 10)
-    scenes = _build_scenes(eff, n_runs, threads)
+    scenes = _build_scenes(eff, n_runs)
     rows = []
     for anchor in (0.0, 1.0, 2.0):
         series = stats.acf(scenes, (1, 1, 1), anchor, 1.0e8, lags)
@@ -191,11 +177,11 @@ def _acf_time(cfg, n_runs, threads):
     return ("anchor", "lag", "corr_abs", "corr_se"), ("s", "s", "", ""), rows, {}
 
 
-def _ccf_space(cfg, n_runs, threads):
+def _ccf_space(cfg, n_runs):
     eff = cfg.merged({"array": {"rows": 4, "cols": 4}})
     dh = eff.data["array"]["spacing_h_m"]
     dv = eff.data["array"]["spacing_v_m"]
-    scenes = _build_scenes(eff, n_runs, threads)
+    scenes = _build_scenes(eff, n_runs)
     rows = []
     for ri, rj in ((1, 1), (4, 4)):
         for k in range(1, 5):
@@ -210,7 +196,7 @@ def _ccf_space(cfg, n_runs, threads):
     return ("reference", "offset", "corr_abs", "corr_se"), ("", "m", "", ""), rows, {}
 
 
-def _fcf_color(cfg, n_runs, threads):
+def _fcf_color(cfg, n_runs):
     df_lags = np.arange(0.0, 1.0000001e8, 5.0e6)
     rows = []
     for color, sigma in (("red", 1.0), ("green", 1.1), ("blue", 1.2)):
@@ -220,7 +206,7 @@ def _fcf_color(cfg, n_runs, threads):
                 "sigma_ds_m": sigma, "sigma_as_m": sigma, "sigma_es_m": sigma,
             },
         })
-        scenes = _build_scenes(eff, n_runs, threads)
+        scenes = _build_scenes(eff, n_runs)
         series = stats.fcf(scenes, (1, 1, 1), 0.0, 0.0, df_lags)
         norm = np.abs(series.normalized)
         se = series.normalized_standard_error
@@ -229,7 +215,7 @@ def _fcf_color(cfg, n_runs, threads):
     return ("led", "df", "corr_abs", "corr_se"), ("", "hz", "", ""), rows, {}
 
 
-def _power_vs_distance(cfg, n_runs, threads):
+def _power_vs_distance(cfg, n_runs):
     rows = []
     for spacing in (1.0, 1.5, 2.0):
         for d in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
@@ -238,16 +224,14 @@ def _power_vs_distance(cfg, n_runs, threads):
                 "receiver": {"distance_m": d},
             })
             powers = ensemble_map(
-                lambda k, s, eff=eff: _total_power(eff, s),
-                eff.run_seeds(n_runs), threads,
-            )
+                lambda k, s: _total_power(eff, s), eff.run_seeds(n_runs))
             mean, se = _mean_se(powers)
             rows.append((spacing, d, mean, se))
     cols = ("spacing", "distance", "power", "power_se")
     return cols, ("m", "m", "w", "w"), rows, {}
 
 
-def _power_rotation_fov(cfg, n_runs, threads):
+def _power_rotation_fov(cfg, n_runs):
     times = np.round(np.arange(0.0, 1.8000001, 0.01), 10)
     rows = []
     for fov in (45.0, 60.0, 90.0):
@@ -256,14 +240,14 @@ def _power_rotation_fov(cfg, n_runs, threads):
         })
         tx_power = eff.data["array"]["tx_power_w"]
 
-        def worker(k, s, eff=eff, tx_power=tx_power):
+        def worker(k, s):
             scene = eff.build_scene(s)
             out = np.empty(times.size)
             for ti, matrix in enumerate(channel_over_time(scene, times)):
                 out[ti] = stats.received_power(matrix, tx_power)[1][0]
             return out
 
-        runs = np.stack(ensemble_map(worker, eff.run_seeds(n_runs), threads))
+        runs = np.stack(ensemble_map(worker, eff.run_seeds(n_runs)))
         mean_t = runs.mean(axis=0)
         for ti, t in enumerate(times):
             rows.append((fov, float(t), float(mean_t[ti])))
@@ -285,20 +269,17 @@ def _rms_rows(label, values):
     return (label, len(finite), median, mean, se)
 
 
-def _rms_patterns(cfg, n_runs, threads):
+def _rms_patterns(cfg, n_runs):
     rows = []
     for pattern in ("lambertian", "narrow", "batwing"):
         eff = cfg.merged({"array": {"pattern": {"type": pattern}}})
-        values = ensemble_map(
-            lambda k, s, eff=eff: _nlos_rms(eff, s),
-            eff.run_seeds(n_runs), threads,
-        )
+        values = ensemble_map(lambda k, s: _nlos_rms(eff, s), eff.run_seeds(n_runs))
         rows.append(_rms_rows(pattern, values))
     cols = ("pattern", "n", "rms_median", "rms_mean", "rms_se")
     return cols, ("", "", "s", "s", "s"), rows, {}
 
 
-def _rms_adr(cfg, n_runs, threads):
+def _rms_adr(cfg, n_runs):
     eff = cfg.merged({
         "receiver": {"n_pd": 3, "fov_deg": 60.0, "theta_pd_deg": 45.0},
     })
@@ -314,7 +295,7 @@ def _rms_adr(cfg, n_runs, threads):
                 out.append(stats.rms_delay_spread(cir))
         return out
 
-    per_run = ensemble_map(worker, eff.run_seeds(n_runs), threads)
+    per_run = ensemble_map(worker, eff.run_seeds(n_runs))
     rows = []
     for pd in (1, 2, 3):
         rows.append(_rms_rows(pd, [run[pd - 1] for run in per_run]))
@@ -322,7 +303,7 @@ def _rms_adr(cfg, n_runs, threads):
     return cols, ("", "", "s", "s", "s"), rows, {}
 
 
-def _pl_ci(cfg, n_runs, threads):
+def _pl_ci(cfg, n_runs):
     # single-element link so the close-in slope is the bare inverse-square
     # law; a full array's extent would flatten the short-range slope
     eff = cfg.merged({
@@ -340,9 +321,8 @@ def _pl_ci(cfg, n_runs, threads):
         eff_d = eff.merged({"receiver": {"distance_m": float(d)}})
         seeds = all_seeds[di * n_runs:(di + 1) * n_runs]
         pls = ensemble_map(
-            lambda k, s, eff_d=eff_d: stats.path_loss(
-                tx_total, _total_power(eff_d, s)),
-            seeds, threads,
+            lambda k, s: stats.path_loss(tx_total, _total_power(eff_d, s)),
+            seeds,
         )
         sample_d += [float(d)] * len(pls)
         sample_pl += pls
@@ -366,7 +346,7 @@ def _pl_ci(cfg, n_runs, threads):
     return cols, ("m", "db", "db", ""), rows, extras
 
 
-def _bandwidth_fov(cfg, n_runs, threads):
+def _bandwidth_fov(cfg, n_runs):
     # single narrow-beam element aimed at the off-axis cluster field, so
     # the direct ray is negligible and the response is multipath-shaped;
     # a runless frequency crossing (flat response) counts as unbounded
@@ -393,7 +373,7 @@ def _bandwidth_fov(cfg, n_runs, threads):
     for fov in (30.0, 45.0, 60.0, 85.0):
         eff = eff0.merged({"receiver": {"fov_deg": fov}})
 
-        def worker(k, s, eff=eff):
+        def worker(k, s):
             scene = eff.build_scene(s)
             cir = cir_snapshot(1, 1, 1, scene, 0.0)
             if cir.powers.size == 0:
@@ -401,7 +381,7 @@ def _bandwidth_fov(cfg, n_runs, threads):
             bw = stats.bandwidth_3db(stats.ctf(cir, freqs))
             return float("nan") if bw is None else float(bw)
 
-        values = ensemble_map(worker, eff.run_seeds(n_runs), threads)
+        values = ensemble_map(worker, eff.run_seeds(n_runs))
         finite = [v for v in values if not math.isnan(v)]
         mean, se = _mean_se(finite)
         median = float(np.median([math.inf if math.isnan(v) else v for v in values]))
@@ -464,10 +444,11 @@ def run_experiment(
 ) -> ResultTable:
     """Run one named preset and return its table.
 
-    ``ensemble`` overrides the preset's default run count and ``threads``
-    the config's worker count; neither changes the statistical meaning of
-    a row, and threads never change the bytes produced. Out-of-range
-    values raise ConfigValidationError before any scene is built.
+    ``ensemble`` overrides the preset's default run count; it never
+    changes the statistical meaning of a row. Runs are always serial:
+    ``threads`` is deprecated and ignored, apart from a count below 1,
+    which is still refused. Out-of-range values raise
+    ConfigValidationError before any scene is built.
     """
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
@@ -479,10 +460,12 @@ def run_experiment(
     if n_runs < preset.min_ensemble:
         raise ConfigValidationError(
             f"{name} needs an ensemble size of at least {preset.min_ensemble}")
-    workers = cfg.threads if threads is None else int(threads)
-    if workers < 1:
-        raise ConfigValidationError("thread count must be at least 1")
-    columns, units, rows, extras = preset.func(cfg, n_runs, workers)
+    if threads is not None:
+        if int(threads) < 1:
+            raise ConfigValidationError("thread count must be at least 1")
+        warnings.warn("threads is deprecated and ignored: runs are serial",
+                      FutureWarning, stacklevel=2)
+    columns, units, rows, extras = preset.func(cfg, n_runs)
     provenance = {
         "config_hash": config_hash(cfg),
         "seed": cfg.master_seed,

@@ -15,7 +15,7 @@ clusters it sees.
 
 All randomness flows from a single integer master seed through named
 sub-streams (visibility, one per cluster, bounce pairing), so rebuilding
-a scene is bit-identical regardless of iteration order or thread count.
+a scene is bit-identical regardless of the order its rows are drawn in.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ class ClusterSet:
     A set made by :meth:`on_demand` draws row k only when it is first
     read, through :meth:`take` or a full field, which draws every row.
     Each row comes from its own stream, so its bits do not depend on
-    which rows were drawn before it. Filling rows is not thread-safe:
-    one set must not be read from two threads at once.
+    which rows were drawn before it.
     """
 
     def __init__(self, scatterers0, normals, reflectance, area_per_scatterer, velocity):
@@ -315,8 +314,8 @@ def assign_bounce(
     """Mark which Tx-side clusters bounce twice and pair them with Rx-side ones.
 
     Returns (is_db, partner): ceil(n_total * (1 - sb_ratio)) clusters are
-    double-bounce, chosen uniformly; partners cycle round-robin through
-    the Rx-side cluster indices. Single-bounce clusters get partner -1.
+    double-bounce, chosen uniformly; the k-th of them, in index order,
+    pairs with Rx-side row k. Single-bounce clusters get partner -1.
     """
     if not 0.0 <= sb_ratio <= 1.0:
         raise ValueError("single-bounce ratio must lie in [0, 1]")
@@ -326,7 +325,7 @@ def assign_bounce(
     if n_db:
         chosen = np.sort(rng.choice(n_total, size=n_db, replace=False))
         is_db[chosen] = True
-        partner[chosen] = np.arange(n_db) % max(n_db, 1)
+        partner[chosen] = np.arange(n_db)
     return is_db, partner
 
 
@@ -419,7 +418,7 @@ def _draw_cluster(
 
 @dataclass(frozen=True, eq=False)
 class SceneSnapshot:
-    """All positions and normals of a scene frozen at one instant."""
+    """The receiver position and detector normals of a scene at one instant."""
 
     scene: "Scene"
     time: float
@@ -431,14 +430,6 @@ class SceneSnapshot:
     @cached_property
     def pd_normals(self) -> list[np.ndarray]:
         return self.scene.receiver.pd_normals(self.time)
-
-    @cached_property
-    def tx_scatterers(self) -> np.ndarray:
-        return self.scene.tx.scatterers0 + self.scene.tx.velocity * self.time
-
-    @cached_property
-    def rx_scatterers(self) -> np.ndarray:
-        return self.scene.rx.scatterers0 + self.scene.rx.velocity * self.time
 
 
 @dataclass(frozen=True, eq=False)

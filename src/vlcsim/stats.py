@@ -99,11 +99,10 @@ def transfer(
     t: float,
     freqs,
     nlos_only: bool = False,
-    snapshot=None,
 ) -> np.ndarray:
     """H(t, f) of one sub-channel directly from a scene (empty CIR -> 0)."""
     i, j, p = link
-    cir = cir_snapshot(i, j, p, scene, t, snapshot=snapshot)
+    cir = cir_snapshot(i, j, p, scene, t)
     if nlos_only:
         cir = cir.nlos_only()
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import vlcsim
@@ -11,3 +14,16 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark wraps these names by lookup; renaming or inlining one
+    # must fail here rather than in a benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(owner.__name__, attr) for owner, attr, _ in tracing.patch_points()
+               if attr not in vars(owner)]
+    assert missing == []
+    assert config.default_config().threads == 1

@@ -279,12 +279,14 @@ def test_cir_snapshot_matches_reference_sums():
     area_pd = scene.receiver.area
 
     tx, rx_set = scene.tx, scene.rx
+    tx_points = tx.scatterers0 + tx.velocity * t
+    rx_points = rx_set.scatterers0 + rx_set.velocity * t
     sb_sum, db_sum = [], []
     for k in scene.visible_indices(i, j):
         if not scene.is_db[k]:
             for s in range(tx.scatterers0.shape[1]):
                 out = oracles.straight_line_sb(
-                    led, frame, 1.0, snap.tx_scatterers[k, s], tx.normals[k],
+                    led, frame, 1.0, tx_points[k, s], tx.normals[k],
                     tx.reflectance[k], tx.area_per_scatterer, rx, n_pd, area_pd, fov,
                 )
                 if out is not None:
@@ -295,9 +297,9 @@ def test_cir_snapshot_matches_reference_sums():
             for s in range(tx.scatterers0.shape[1]):
                 out = oracles.straight_line_db(
                     led, frame, 1.0,
-                    snap.tx_scatterers[k, s], tx.normals[k], tx.reflectance[k],
+                    tx_points[k, s], tx.normals[k], tx.reflectance[k],
                     tx.area_per_scatterer,
-                    snap.rx_scatterers[z, s % m_z], rx_set.normals[z],
+                    rx_points[z, s % m_z], rx_set.normals[z],
                     rx_set.reflectance[z], rx_set.area_per_scatterer,
                     rx, n_pd, area_pd, fov,
                 )
@@ -345,13 +347,15 @@ def test_cir_taps_respect_field_of_view():
     snap = scene.at(t)
     rx = snap.rx_position
     n_pd = snap.pd_normals[0]
+    tx_points = scene.tx.scatterers0 + scene.tx.velocity * t
+    rx_points = scene.rx.scatterers0 + scene.rx.velocity * t
     for kind, c, s in zip(cir.kinds, cir.clusters, cir.scatterers):
         if kind == TapKind.SB:
-            point = snap.tx_scatterers[c, s]
+            point = tx_points[c, s]
         elif kind == TapKind.DB:
             z = scene.partner[c]
             m_z = scene.rx.scatterers0.shape[1]
-            point = snap.rx_scatterers[z, s % m_z]
+            point = rx_points[z, s % m_z]
         else:
             point = scene.array.element_position(1, 1)
         u = (rx - point) / np.linalg.norm(rx - point)
@@ -385,7 +389,7 @@ def test_scene_without_clusters_is_line_of_sight_only():
     assert scene.evolution.initial_count == 0
     assert scene.tx.scatterers0.shape == (0, m, 3)
     assert scene.rx.scatterers0.shape == (0, m, 3)
-    assert scene.at(1.0).tx_scatterers.shape == (0, m, 3)
+    assert scene.tx.take(np.arange(0), 1.0)[0].shape == (0, m, 3)
 
     cir = cir_snapshot(1, 1, 1, scene, 1.0)
     assert np.all(cir.kinds == int(TapKind.LOS))

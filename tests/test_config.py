@@ -1,6 +1,6 @@
 import math
+import warnings
 
-import numpy as np
 import pytest
 
 from vlcsim import (
@@ -54,6 +54,8 @@ def test_unknown_keys_name_their_path():
         loads_config("receiver: 5\n")
 
 
+# deprecated keys are still validated; setting one warns first
+@pytest.mark.filterwarnings("ignore::FutureWarning")
 @pytest.mark.parametrize(
     "override",
     [
@@ -86,6 +88,10 @@ def test_unknown_keys_name_their_path():
         {"ensemble": {"size": 0}},
         {"receiver": {"azimuth_deg": math.nan}},
         {"receiver": {"distance_m": math.inf}},
+        {"array": {"pattern": {"type": "lambertian", "order": math.inf}}},
+        {"array": {"pattern": {"type": "lambertian", "order": True}}},
+        {"spectrum": {"material_weights": {"floor": math.inf}}},
+        {"spectrum": {"material_weights": {"floor": True}}},
     ],
 )
 def test_validation_rejects(override):
@@ -113,7 +119,6 @@ def test_merged_does_not_mutate_original():
         {"receiver": {"fov_deg": 84.0}},
         {"spectrum": {"material_weights": {"floor": 0.31}}},
         {"ensemble": {"master_seed": 1}},
-        {"time": {"step_s": 0.02}},
     ],
 )
 def test_hash_tracks_every_field(override):
@@ -168,19 +173,13 @@ def test_material_weights_drop_zero_entries():
 
 
 def test_grids():
-    cfg = default_config()
-    t = cfg.time_grid()
-    assert t.size == 201
-    assert t[0] == 0.0 and t[-1] == pytest.approx(2.0)
-    assert np.allclose(np.diff(t), 0.01)
-    f = cfg.frequency_grid()
+    f = default_config().frequency_grid()
     assert f.size == 2048
     assert f[0] == 0.0 and f[-1] == 2.0e8
 
 
 def test_ensemble_properties_and_seeds():
     cfg = default_config()
-    assert cfg.ensemble_size == 500
     assert cfg.master_seed == 20220101
     assert cfg.threads == 1
     seeds = cfg.run_seeds(8)
@@ -195,3 +194,34 @@ def test_scene_fingerprint_is_config_hash():
     cfg = default_config().merged({"array": {"rows": 1, "cols": 1}})
     scene = cfg.build_scene(5)
     assert scene.fingerprint == config_hash(cfg)
+
+
+DEPRECATED = [
+    ("time", "start_s", 0.5),
+    ("time", "stop_s", 3.0),
+    ("time", "step_s", 0.02),
+    ("ensemble", "size", 100),
+    ("ensemble", "threads", 4),
+]
+
+
+@pytest.mark.parametrize("section, key, value", DEPRECATED)
+def test_deprecated_key_warns_once_and_keeps_hash(section, key, value):
+    base = default_config()
+    with pytest.warns(FutureWarning, match=f"{section}.{key} is deprecated") as record:
+        merged = base.merged({section: {key: value}})
+    assert len([w for w in record if w.category is FutureWarning]) == 1
+    assert merged.data[section][key] == value
+    assert config_hash(merged) == config_hash(base)
+    with pytest.warns(FutureWarning, match=f"{section}.{key} is deprecated"):
+        loaded = loads_config(f"{section}:\n  {key}: {value}\n")
+    assert config_hash(loaded) == config_hash(base)
+
+
+def test_deprecated_keys_at_their_defaults_do_not_warn(tmp_path):
+    path = tmp_path / "defaults.yaml"
+    save_config(default_config(), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_config(path) == default_config()
+        default_config().merged({"time": {"step_s": 0.01}, "ensemble": {"threads": 1}})

@@ -97,13 +97,14 @@ def test_export_formats(tmp_path):
 
 def test_ensemble_map_is_order_stable():
     seeds = list(range(20))
+    calls = []
 
     def worker(k, s):
+        calls.append(k)
         return (k, s * s)
 
-    single = ensemble_map(worker, seeds, threads=1)
-    pooled = ensemble_map(worker, seeds, threads=4)
-    assert single == pooled == [(k, s * s) for k, s in enumerate(seeds)]
+    assert ensemble_map(worker, seeds) == [(k, s * s) for k, s in enumerate(seeds)]
+    assert calls == list(range(20))
 
 
 def test_ensemble_map_propagates_errors():
@@ -113,7 +114,7 @@ def test_ensemble_map_propagates_errors():
         return k
 
     with pytest.raises(RuntimeError):
-        ensemble_map(worker, list(range(5)), threads=2)
+        ensemble_map(worker, list(range(5)))
 
 
 def test_list_experiments_names_presets():
@@ -155,12 +156,24 @@ def test_run_experiment_provenance(ccf_table):
 
 
 def test_run_experiment_thread_count_does_not_change_bytes(ccf_table):
-    pooled = run_experiment("ccf-space", default_config(), ensemble=3, threads=4)
+    # runs are serial: a thread count is deprecated, warned about and ignored
+    with pytest.warns(FutureWarning, match="threads is deprecated"):
+        pooled = run_experiment("ccf-space", default_config(), ensemble=3, threads=4)
     assert pooled.to_csv() == ccf_table.to_csv()
-    # the same count set in the config tree, where the hash also sees it
-    configured = default_config().merged({"ensemble": {"threads": 2}})
-    pooled = run_experiment("ccf-space", configured, ensemble=3)
-    assert pooled.to_csv() == ccf_table.to_csv()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"ensemble": {"threads": 2}},
+        {"ensemble": {"size": 7}},
+        {"time": {"start_s": 0.5, "stop_s": 3.0, "step_s": 0.02}},
+    ],
+)
+def test_deprecated_keys_do_not_change_output(ccf_table, override):
+    with pytest.warns(FutureWarning, match="is deprecated"):
+        cfg = default_config().merged(override)
+    assert run_experiment("ccf-space", cfg, ensemble=3).to_csv() == ccf_table.to_csv()
 
 
 def test_run_experiment_seed_changes_rows(ccf_table):
@@ -207,12 +220,19 @@ def test_cli_rejects_bad_config(tmp_path):
 
 
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
-    far = tmp_path / "far.yaml"
-    far.write_text("receiver:\n  distance_m: .inf\n")
-    assert main(["--experiment", "rms-adr", "--config", str(far),
-                 "--out", str(tmp_path)]) == 2
-    assert "receiver.distance_m must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "rms-adr.csv").exists()
+    for key, text in [
+        ("receiver.distance_m", "receiver:\n  distance_m: .inf\n"),
+        ("array.pattern.order",
+         "array:\n  pattern: {type: lambertian, order: .inf}\n"),
+        ("spectrum.material_weights.floor",
+         "spectrum:\n  material_weights: {floor: .inf}\n"),
+    ]:
+        far = tmp_path / "far.yaml"
+        far.write_text(text)
+        assert main(["--experiment", "rms-adr", "--config", str(far),
+                     "--out", str(tmp_path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rms-adr.csv").exists()
 
 
 def test_cli_rejects_bad_ensemble(tmp_path, capsys):

@@ -293,7 +293,8 @@ def test_snapshot_motion_is_linear():
         snap.rx_position, scene.receiver.initial_position + [0.0, 0.0, 1.0]
     )
     assert np.allclose(
-        snap.tx_scatterers, scene.tx.scatterers0 + np.array([-0.5, 0.0, 0.0]),
+        scene.tx.take(np.arange(len(scene.tx)), snap.time)[0],
+        scene.tx.scatterers0 + np.array([-0.5, 0.0, 0.0]),
         atol=1e-12,
     )
     later = scene.at(snap.time + 0.5)
