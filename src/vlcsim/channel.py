@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import ZeroDistanceError
 from .scene import Scene, SceneSnapshot
 
 SPEED_OF_LIGHT = 2.99792458e8
+_NO_ROWS = np.empty(0, dtype=int)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -74,13 +76,12 @@ class Cir:
         )
 
 
-def _pd_incidence(optics_cfg, n_pd: np.ndarray, toward_rx: np.ndarray):
-    """(gain*filter*mask, cos) for rays arriving along ``toward_rx`` units."""
-    cos_pd = -(toward_rx @ n_pd)
+def _pd_incidence(optics_cfg, cos_pd: np.ndarray):
+    """(gain*filter*mask, mask) for rays at detector incidence cosine ``cos_pd``."""
     psi = np.arccos(np.clip(cos_pd, -1.0, 1.0))
     mask = psi <= optics_cfg.fov
     gain = optics.concentrator_gain(optics_cfg, np.where(mask, psi, 0.0))
-    return np.asarray(gain * optics_cfg.filter_gain * mask), np.asarray(cos_pd), np.asarray(mask)
+    return np.asarray(gain * optics_cfg.filter_gain * mask), np.asarray(mask)
 
 
 def _element_intensity(scene: Scene, i: int, j: int, points: np.ndarray) -> np.ndarray:
@@ -90,7 +91,25 @@ def _element_intensity(scene: Scene, i: int, j: int, points: np.ndarray) -> np.n
     return np.asarray(scene.array.pattern.intensity(el, az))
 
 
-def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
+def _leg(snapshot: SceneSnapshot, key: tuple, idx: np.ndarray, build):
+    """The detector-independent leg ``key`` of ``snapshot``, built once.
+
+    An entry is reused while the visible rows ``idx``, the receiver
+    position and, when either cluster side drifts, the instant are the
+    ones it was built for; otherwise ``build()`` replaces it.
+    """
+    scene = snapshot.scene
+    drifting = scene.tx.velocity.any() or scene.rx.velocity.any()
+    tag = (idx.tobytes(), snapshot.rx_position.tobytes(),
+           snapshot.time if drifting else None)
+    entry = snapshot._legs.get(key)
+    if entry is None or entry[0] != tag:
+        entry = snapshot._legs[key] = (tag, build())
+    return entry[1]
+
+
+def _los_leg(snapshot: SceneSnapshot, i: int, j: int):
+    """(intensity, distance, unit vector) of the direct path."""
     scene = snapshot.scene
     led = scene.array.element_position(i, j)
     rx = snapshot.rx_position
@@ -98,10 +117,15 @@ def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
     d = float(np.linalg.norm(vec))
     if d < 1e-12:
         raise ZeroDistanceError("receiver coincides with an LED element")
-    u = vec / d
-    f = _element_intensity(scene, i, j, rx[None, :])[0]
-    n_pd = snapshot.pd_normals[p - 1]
-    gain, cos_pd, mask = _pd_incidence(scene.receiver.optics, n_pd, u[None, :])
+    return _element_intensity(scene, i, j, rx[None, :])[0], d, vec / d
+
+
+def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
+    scene = snapshot.scene
+    f, d, u = _leg(snapshot, (i, j, TapKind.LOS), _NO_ROWS,
+                   lambda: _los_leg(snapshot, i, j))
+    cos_pd = -(u[None, :] @ snapshot.pd_normals[p - 1])
+    gain, mask = _pd_incidence(scene.receiver.optics, cos_pd)
     if not mask[0]:
         return None
     power = f * scene.receiver.area * cos_pd[0] / d**2 * gain[0]
@@ -110,22 +134,37 @@ def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
     return float(power), d / SPEED_OF_LIGHT
 
 
-def _bounce_arrays(
-    snapshot: SceneSnapshot, i: int, j: int, p: int, idx: np.ndarray, double: bool
-):
-    """Vectorized tap powers/delays for the clusters in ``idx``.
+class _BounceLeg(NamedTuple):
+    """The rays through a set of clusters that pass every static gate.
 
-    Returns (power, delay, cluster_id, scatterer_id) arrays with pruned
-    rays (negative cosines, out of field of view) removed.
+    ``u_r`` holds the exit-to-receiver unit vectors of all candidate
+    rays and ``keep`` marks the ones that pass; every other field holds
+    only those. ``head`` is the power up to and including the detector
+    area, ``mid`` the double-bounce middle hop (None for single bounce)
+    and ``dr2`` the squared exit-to-receiver distance; the detector's
+    incidence cosine, concentrator gain and field of view are left out.
+    """
+
+    u_r: np.ndarray
+    keep: np.ndarray
+    dr2: np.ndarray
+    head: np.ndarray
+    mid: np.ndarray | None
+    delay: np.ndarray
+    cluster: np.ndarray
+    scatterer: np.ndarray
+
+
+def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, double: bool):
+    """Detector-independent part of the rays through the clusters ``idx``.
+
+    Drops rays that meet a zero distance or a back face (at the first
+    scatterer, on the middle hop, at exit) or that carry no power before
+    the detector; what is left holds for every detector normal.
     """
     scene = snapshot.scene
-    if idx.size == 0:
-        empty = np.empty(0)
-        return empty, empty, np.empty(0, dtype=int), np.empty(0, dtype=int)
     led = scene.array.element_position(i, j)
     rx = snapshot.rx_position
-    n_pd = snapshot.pd_normals[p - 1]
-    rx_opt = scene.receiver.optics
 
     s_a, normal_a, gamma_a = scene.tx.take(idx, snapshot.time)   # (n, m, 3)
     n_cl, m = s_a.shape[:2]
@@ -167,12 +206,10 @@ def _bounce_arrays(
     u_r = vec_r / np.where(d_r > 0, d_r, 1.0)[:, None]
     cos_out = np.einsum("ij,ij->i", u_r, exit_normal)
     ok &= cos_out >= 0.0
-    gain, cos_pd, in_fov = _pd_incidence(rx_opt, n_pd, u_r)
-    ok &= in_fov
 
     cos_in_a = np.maximum(cos_in_a, 0.0)
     cos_out = np.maximum(cos_out, 0.0)
-    power = (
+    head = (
         f
         * scene.tx.area_per_scatterer
         * cos_in_a
@@ -180,11 +217,10 @@ def _bounce_arrays(
         * gamma_a
         * (cos_out / math.pi)
         * scene.receiver.area
-        * np.maximum(cos_pd, 0.0)
-        / np.where(d_r > 0, d_r, 1.0) ** 2
-        * gain
     )
+    ok &= head > 0.0   # a zero head gives zero power at every detector
     delay = d_t + d_r
+    mid = None
     if double:
         # extra hop: diffuse exit off the first cluster, capture at the second
         mid = (
@@ -195,11 +231,35 @@ def _bounce_arrays(
             / np.where(d_s > 0, d_s, 1.0) ** 2
             * gamma_z
         )
-        power = power * mid
+        ok &= mid > 0.0
+        mid = mid[ok]
         delay = delay + d_s
-    ok &= power > 0.0
     delay = delay / SPEED_OF_LIGHT
-    return power[ok], delay[ok], cluster_id[ok], scatterer_id[ok]
+    dr2 = np.where(d_r > 0, d_r, 1.0) ** 2
+    return _BounceLeg(u_r, ok, dr2[ok], head[ok], mid, delay[ok],
+                      cluster_id[ok], scatterer_id[ok])
+
+
+def _bounce_arrays(
+    snapshot: SceneSnapshot, i: int, j: int, p: int, idx: np.ndarray, kind: TapKind
+):
+    """Vectorized tap powers/delays for the clusters in ``idx``.
+
+    Returns (power, delay, cluster_id, scatterer_id) arrays with pruned
+    rays (negative cosines, out of field of view) removed. The
+    detector-independent leg comes from the snapshot's cache.
+    """
+    leg = _leg(snapshot, (i, j, kind), idx,
+               lambda: _bounce_leg(snapshot, i, j, idx, kind == TapKind.DB))
+    # the product runs over every candidate ray: numpy takes a dot product
+    # instead of gemv for a single row, which can round differently
+    cos_pd = -(leg.u_r @ snapshot.pd_normals[p - 1])[leg.keep]
+    gain, in_fov = _pd_incidence(snapshot.scene.receiver.optics, cos_pd)
+    power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
+    if leg.mid is not None:
+        power = power * leg.mid
+    ok = in_fov & (power > 0.0)
+    return power[ok], leg.delay[ok], leg.cluster[ok], leg.scatterer[ok]
 
 
 def cir_snapshot(
@@ -213,13 +273,20 @@ def cir_snapshot(
 ) -> Cir:
     """Impulse response of sub-channel (i, j, p) at time ``t``.
 
-    ``visibility`` overrides the scene's own birth-death mask (same
-    shape); pass a precomputed ``snapshot`` to share positions across
-    calls at the same instant.
+    ``visibility`` overrides the scene's own birth-death mask and must
+    have its shape. Pass one precomputed ``snapshot`` to calls at the
+    same instant to share the receiver position, the detector normals
+    and the detector-independent legs of every ray (for example across
+    the detectors of an angle-diversity head).
     """
     if snapshot is None:
         snapshot = scene.at(t)
     mask = scene.visibility if visibility is None else visibility
+    if mask.shape != scene.visibility.shape:
+        raise ValueError(
+            f"visibility override has shape {mask.shape}, "
+            f"the scene's mask has shape {scene.visibility.shape}"
+        )
     vis = np.flatnonzero(mask[i - 1, j - 1])
     sb_idx = vis[~scene.is_db[vis]]
     db_idx = vis[scene.is_db[vis]]
@@ -236,8 +303,8 @@ def cir_snapshot(
                 np.array([-1]),
             )
         )
-    for idx, double, kind in ((sb_idx, False, TapKind.SB), (db_idx, True, TapKind.DB)):
-        pw, dl, cid, sid = _bounce_arrays(snapshot, i, j, p, idx, double=double)
+    for idx, kind in ((sb_idx, TapKind.SB), (db_idx, TapKind.DB)):
+        pw, dl, cid, sid = _bounce_arrays(snapshot, i, j, p, idx, kind)
         parts.append(
             (pw, dl, np.full(pw.size, int(kind), dtype=np.int8), cid, sid)
         )
@@ -271,10 +338,18 @@ class ChannelMatrix:
 
 
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
-    """Evaluate every sub-channel at each requested time."""
+    """Evaluate every sub-channel at each requested time.
+
+    The instants share one leg cache: a ray's detector-independent leg
+    carries over to the next instant while the receiver stays where it
+    was and no cluster side drifts, so a receiver that only rotates
+    recomputes just the detector incidence. The cache is dropped on
+    return.
+    """
+    legs: dict = {}
     out = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        snapshot = scene.at(float(t))
+        snapshot = SceneSnapshot(scene, float(t), legs)
         cirs = {}
         for i in range(1, scene.array.rows + 1):
             for j in range(1, scene.array.cols + 1):

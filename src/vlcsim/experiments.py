@@ -286,9 +286,10 @@ def _rms_adr(cfg, n_runs):
 
     def worker(k, s):
         scene = eff.build_scene(s)
+        snapshot = scene.at(0.0)   # the three detectors share its ray legs
         out = []
         for pd in (1, 2, 3):
-            cir = cir_snapshot(1, 1, pd, scene, 0.0)
+            cir = cir_snapshot(1, 1, pd, scene, 0.0, snapshot=snapshot)
             if cir.powers.size == 0 or float(cir.powers.sum()) <= 0.0:
                 out.append(float("nan"))
             else:

@@ -418,10 +418,16 @@ def _draw_cluster(
 
 @dataclass(frozen=True, eq=False)
 class SceneSnapshot:
-    """The receiver position and detector normals of a scene at one instant."""
+    """The receiver position and detector normals of a scene at one instant.
+
+    ``_legs`` caches the detector-independent ray legs that
+    :func:`vlcsim.channel.cir_snapshot` builds; :meth:`Scene.at` gives
+    each snapshot its own.
+    """
 
     scene: "Scene"
     time: float
+    _legs: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def rx_position(self) -> np.ndarray:

@@ -1,9 +1,16 @@
+import gc
 import math
+import pickle
+import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import vlcsim.channel
 from vlcsim import (
     Cir,
     ClusterDistribution,
@@ -400,3 +407,114 @@ def test_scene_without_clusters_is_line_of_sight_only():
         for one in matrix:
             assert np.all(one.kinds == int(TapKind.LOS))
             assert one.powers.size <= 1
+
+
+def test_cir_snapshot_rejects_visibility_of_another_shape():
+    scene = default_config().build_scene(SEED)
+    rows, cols, n = scene.visibility.shape
+    for shape in ((rows, cols, 3), (rows, cols, n + 5)):
+        wrong = np.ones(shape, dtype=bool)
+        named = f"{re.escape(str(shape))}.*{re.escape(str(scene.visibility.shape))}"
+        with pytest.raises(ValueError, match=named):
+            cir_snapshot(1, 1, 1, scene, 0.0, visibility=wrong)
+
+
+CIR_FIELDS = ("powers", "delays", "kinds", "clusters", "scatterers")
+
+
+def _moving_config(rot_az=0.0, rot_el=0.0, rx_speed=0.0, cluster_speed=0.0):
+    return default_config().merged({
+        "array": {"rows": 2, "cols": 2},
+        "evolution": {"birth_rate_per_m": 16.0},
+        "receiver": {
+            "n_pd": 3, "fov_deg": 60.0,
+            "rot_azimuth_deg_s": rot_az, "rot_elevation_deg_s": rot_el,
+            "speed_m_s": rx_speed, "travel_azimuth_deg": 90.0,
+        },
+        "clusters": {
+            "scatterers_per_cluster": 20, "sb_ratio": 0.6,
+            "speed_m_s": cluster_speed, "travel_azimuth_deg": 30.0,
+        },
+    })
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rot_az=st.sampled_from([0.0, 45.0, -120.0]),
+    rot_el=st.sampled_from([0.0, 30.0]),
+    rx_speed=st.sampled_from([0.0, 0.0, 0.7]),
+    cluster_speed=st.sampled_from([0.0, 0.0, 0.4]),
+    times=st.lists(st.sampled_from([0.0, 0.1, 0.35, 1.0]), min_size=1, max_size=5),
+)
+def test_channel_over_time_equals_fresh_snapshots(
+    seed, rot_az, rot_el, rx_speed, cluster_speed, times
+):
+    # legs carried across instants give the same bits as legs built afresh
+    scene = _moving_config(rot_az, rot_el, rx_speed, cluster_speed).build_scene(seed)
+    times = times + times[:1]   # an instant evaluated twice
+    for t, matrix in zip(times, channel_over_time(scene, times)):
+        for (i, j, p), cir in matrix.cirs.items():
+            fresh = cir_snapshot(i, j, p, scene, t)
+            for name in CIR_FIELDS:
+                assert np.array_equal(getattr(cir, name), getattr(fresh, name))
+
+
+@pytest.fixture
+def leg_builds(monkeypatch):
+    """Counts calls to the bounce-leg builder and keeps a weak reference
+    to every snapshot it served."""
+    builder = vlcsim.channel._bounce_leg
+    calls = []
+
+    def counting(snapshot, *args):
+        calls.append(weakref.ref(snapshot))
+        return builder(snapshot, *args)
+
+    monkeypatch.setattr(vlcsim.channel, "_bounce_leg", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_times", [1, 4, 12])
+def test_static_scene_builds_each_leg_once(leg_builds, n_times):
+    scene = _moving_config(rot_az=45.0, rot_el=10.0).build_scene(SEED)
+    channel_over_time(scene, np.linspace(0.0, 1.0, n_times))
+    # one single-bounce and one double-bounce leg per element, however
+    # many instants and detectors
+    assert len(leg_builds) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("motion", [{"rx_speed": 0.5}, {"cluster_speed": 0.5}])
+def test_moving_scene_rebuilds_legs_every_instant(leg_builds, motion):
+    scene = _moving_config(rot_az=45.0, **motion).build_scene(SEED)
+    times = [0.0, 0.2, 0.4, 0.2]
+    channel_over_time(scene, times)
+    assert len(leg_builds) == 2 * 2 * 2 * len(times)
+
+
+def test_visibility_override_misses_a_shared_snapshot(leg_builds):
+    scene = _moving_config().build_scene(SEED)
+    snapshot = scene.at(0.0)
+    full = cir_snapshot(1, 1, 1, scene, 0.0, snapshot=snapshot)
+    built = len(leg_builds)
+    override = scene.visibility.copy()
+    override[0, 0, np.flatnonzero(override[0, 0])[::2]] = False
+    shared = cir_snapshot(1, 1, 1, scene, 0.0, visibility=override, snapshot=snapshot)
+    assert len(leg_builds) > built
+    fresh = cir_snapshot(1, 1, 1, scene, 0.0, visibility=override)
+    again = cir_snapshot(1, 1, 1, scene, 0.0, snapshot=snapshot)
+    assert shared.powers.size < full.powers.size
+    for name in CIR_FIELDS:
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+        assert np.array_equal(getattr(again, name), getattr(full, name))
+
+
+def test_channel_over_time_leaves_no_legs_behind(leg_builds):
+    scene = _moving_config(rot_az=45.0).build_scene(SEED)
+    before = dict(vars(scene))
+    channel_over_time(scene, [0.0, 0.5])
+    assert vars(scene).keys() == before.keys()
+    assert all(vars(scene)[k] is v for k, v in before.items())
+    gc.collect()
+    assert leg_builds and all(ref() is None for ref in leg_builds)
+    pickle.loads(pickle.dumps(scene))
