@@ -91,58 +91,16 @@ def _element_intensity(scene: Scene, i: int, j: int, points: np.ndarray) -> np.n
     return np.asarray(scene.array.pattern.intensity(el, az))
 
 
-def _leg(snapshot: SceneSnapshot, key: tuple, idx: np.ndarray, build):
-    """The detector-independent leg ``key`` of ``snapshot``, built once.
-
-    An entry is reused while the visible rows ``idx``, the receiver
-    position and, when either cluster side drifts, the instant are the
-    ones it was built for; otherwise ``build()`` replaces it.
-    """
-    scene = snapshot.scene
-    drifting = scene.tx.velocity.any() or scene.rx.velocity.any()
-    tag = (idx.tobytes(), snapshot.rx_position.tobytes(),
-           snapshot.time if drifting else None)
-    entry = snapshot._legs.get(key)
-    if entry is None or entry[0] != tag:
-        entry = snapshot._legs[key] = (tag, build())
-    return entry[1]
-
-
-def _los_leg(snapshot: SceneSnapshot, i: int, j: int):
-    """(intensity, distance, unit vector) of the direct path."""
-    scene = snapshot.scene
-    led = scene.array.element_position(i, j)
-    rx = snapshot.rx_position
-    vec = rx - led
-    d = float(np.linalg.norm(vec))
-    if d < 1e-12:
-        raise ZeroDistanceError("receiver coincides with an LED element")
-    return _element_intensity(scene, i, j, rx[None, :])[0], d, vec / d
-
-
-def _los_arrays(snapshot: SceneSnapshot, i: int, j: int, p: int):
-    scene = snapshot.scene
-    f, d, u = _leg(snapshot, (i, j, TapKind.LOS), _NO_ROWS,
-                   lambda: _los_leg(snapshot, i, j))
-    cos_pd = -(u[None, :] @ snapshot.pd_normals[p - 1])
-    gain, mask = _pd_incidence(scene.receiver.optics, cos_pd)
-    if not mask[0]:
-        return None
-    power = f * scene.receiver.area * cos_pd[0] / d**2 * gain[0]
-    if power <= 0.0:
-        return None
-    return float(power), d / SPEED_OF_LIGHT
-
-
-class _BounceLeg(NamedTuple):
-    """The rays through a set of clusters that pass every static gate.
+class _Leg(NamedTuple):
+    """The rays of one tap kind that pass every static gate.
 
     ``u_r`` holds the exit-to-receiver unit vectors of all candidate
     rays and ``keep`` marks the ones that pass; every other field holds
     only those. ``head`` is the power up to and including the detector
-    area, ``mid`` the double-bounce middle hop (None for single bounce)
-    and ``dr2`` the squared exit-to-receiver distance; the detector's
+    area, ``mid`` the double-bounce middle hop (None otherwise) and
+    ``dr2`` the squared exit-to-receiver distance; the detector's
     incidence cosine, concentrator gain and field of view are left out.
+    The direct path is a one-ray leg with cluster and scatterer -1.
     """
 
     u_r: np.ndarray
@@ -155,16 +113,39 @@ class _BounceLeg(NamedTuple):
     scatterer: np.ndarray
 
 
-def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, double: bool):
+_EMPTY_LEG = _Leg(np.empty((0, 3)), np.empty(0, dtype=bool), np.empty(0), np.empty(0),
+                  None, np.empty(0), _NO_ROWS, _NO_ROWS)
+
+
+def _los_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
+    """The direct path from element (i, j) to the receiver."""
+    scene = snapshot.scene
+    led = scene.array.element_position(i, j)
+    rx = snapshot.rx_position
+    vec = rx - led
+    d = float(np.linalg.norm(vec))
+    if d < 1e-12:
+        raise ZeroDistanceError("receiver coincides with an LED element")
+    head = _element_intensity(scene, i, j, rx[None, :])[0] * scene.receiver.area
+    if not head > 0.0:
+        return _EMPTY_LEG
+    return _Leg((vec / d)[None, :], np.array([True]), np.array([d**2]), np.array([head]),
+                None, np.array([d / SPEED_OF_LIGHT]), np.array([-1]), np.array([-1]))
+
+
+def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
     """Detector-independent part of the rays through the clusters ``idx``.
 
     Drops rays that meet a zero distance or a back face (at the first
     scatterer, on the middle hop, at exit) or that carry no power before
     the detector; what is left holds for every detector normal.
     """
+    if idx.size == 0:
+        return _EMPTY_LEG
     scene = snapshot.scene
     led = scene.array.element_position(i, j)
     rx = snapshot.rx_position
+    double = kind == TapKind.DB
 
     s_a, normal_a, gamma_a = scene.tx.take(idx, snapshot.time)   # (n, m, 3)
     n_cl, m = s_a.shape[:2]
@@ -236,25 +217,33 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, double
         delay = delay + d_s
     delay = delay / SPEED_OF_LIGHT
     dr2 = np.where(d_r > 0, d_r, 1.0) ** 2
-    return _BounceLeg(u_r, ok, dr2[ok], head[ok], mid, delay[ok],
-                      cluster_id[ok], scatterer_id[ok])
+    return _Leg(u_r, ok, dr2[ok], head[ok], mid, delay[ok],
+                cluster_id[ok], scatterer_id[ok])
 
 
-def _bounce_arrays(
-    snapshot: SceneSnapshot, i: int, j: int, p: int, idx: np.ndarray, kind: TapKind
-):
-    """Vectorized tap powers/delays for the clusters in ``idx``.
+def _taps(snapshot: SceneSnapshot, i: int, j: int, p: int, idx: np.ndarray, kind: TapKind):
+    """(power, delay, cluster_id, scatterer_id) of the ``kind`` taps at detector p.
 
-    Returns (power, delay, cluster_id, scatterer_id) arrays with pruned
-    rays (negative cosines, out of field of view) removed. The
-    detector-independent leg comes from the snapshot's cache.
+    ``idx`` holds the visible clusters (none for the direct path). The
+    detector-independent leg comes from the snapshot's cache: an entry
+    is reused while ``idx``, the receiver position and, when either
+    cluster side drifts, the instant are the ones it was built for.
     """
-    leg = _leg(snapshot, (i, j, kind), idx,
-               lambda: _bounce_leg(snapshot, i, j, idx, kind == TapKind.DB))
+    scene = snapshot.scene
+    drifting = scene.tx.velocity.any() or scene.rx.velocity.any()
+    tag = (idx.tobytes(), snapshot.rx_position.tobytes(),
+           snapshot.time if drifting else None)
+    entry = snapshot._legs.get((i, j, kind))
+    if entry is None or entry[0] != tag:
+        build = _los_leg if kind == TapKind.LOS else _bounce_leg
+        entry = snapshot._legs[(i, j, kind)] = (tag, build(snapshot, i, j, idx, kind))
+    leg = entry[1]
+    if leg.delay.size == 0:
+        return leg.head, leg.delay, leg.cluster, leg.scatterer
     # the product runs over every candidate ray: numpy takes a dot product
     # instead of gemv for a single row, which can round differently
     cos_pd = -(leg.u_r @ snapshot.pd_normals[p - 1])[leg.keep]
-    gain, in_fov = _pd_incidence(snapshot.scene.receiver.optics, cos_pd)
+    gain, in_fov = _pd_incidence(scene.receiver.optics, cos_pd)
     power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
     if leg.mid is not None:
         power = power * leg.mid
@@ -292,22 +281,9 @@ def cir_snapshot(
     db_idx = vis[scene.is_db[vis]]
 
     parts = []
-    lo = _los_arrays(snapshot, i, j, p)
-    if lo is not None:
-        parts.append(
-            (
-                np.array([lo[0]]),
-                np.array([lo[1]]),
-                np.array([int(TapKind.LOS)], dtype=np.int8),
-                np.array([-1]),
-                np.array([-1]),
-            )
-        )
-    for idx, kind in ((sb_idx, TapKind.SB), (db_idx, TapKind.DB)):
-        pw, dl, cid, sid = _bounce_arrays(snapshot, i, j, p, idx, kind)
-        parts.append(
-            (pw, dl, np.full(pw.size, int(kind), dtype=np.int8), cid, sid)
-        )
+    for kind, idx in ((TapKind.LOS, _NO_ROWS), (TapKind.SB, sb_idx), (TapKind.DB, db_idx)):
+        pw, dl, cid, sid = _taps(snapshot, i, j, p, idx, kind)
+        parts.append((pw, dl, np.full(pw.size, int(kind), dtype=np.int8), cid, sid))
 
     powers, delays, kinds, clusters, scats = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(delays, kind="stable")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from ._version import __version__
-from .channel import channel_over_time, cir_snapshot
+from .channel import Cir, channel_over_time, cir_snapshot
 from .config import SimulationConfig, config_hash, default_config
 from .errors import ConfigValidationError, UnknownExperimentError
 
@@ -254,12 +254,16 @@ def _power_rotation_fov(cfg, n_runs):
     return ("fov", "time", "power"), ("deg", "s", "w"), rows, {}
 
 
-def _nlos_rms(cfg: SimulationConfig, seed: int, pd: int = 1) -> float:
-    scene = cfg.build_scene(seed)
-    cir = cir_snapshot(1, 1, pd, scene, 0.0).nlos_only()
+def _rms_or_nan(cir: Cir) -> float:
+    """RMS delay spread of ``cir``; NaN when it has no taps or no power."""
     if cir.powers.size == 0 or float(cir.powers.sum()) <= 0.0:
         return float("nan")
     return stats.rms_delay_spread(cir)
+
+
+def _nlos_rms(cfg: SimulationConfig, seed: int) -> float:
+    scene = cfg.build_scene(seed)
+    return _rms_or_nan(cir_snapshot(1, 1, 1, scene, 0.0).nlos_only())
 
 
 def _rms_rows(label, values):
@@ -287,14 +291,8 @@ def _rms_adr(cfg, n_runs):
     def worker(k, s):
         scene = eff.build_scene(s)
         snapshot = scene.at(0.0)   # the three detectors share its ray legs
-        out = []
-        for pd in (1, 2, 3):
-            cir = cir_snapshot(1, 1, pd, scene, 0.0, snapshot=snapshot)
-            if cir.powers.size == 0 or float(cir.powers.sum()) <= 0.0:
-                out.append(float("nan"))
-            else:
-                out.append(stats.rms_delay_spread(cir))
-        return out
+        return [_rms_or_nan(cir_snapshot(1, 1, pd, scene, 0.0, snapshot=snapshot))
+                for pd in (1, 2, 3)]
 
     per_run = ensemble_map(worker, eff.run_seeds(n_runs))
     rows = []

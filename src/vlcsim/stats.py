@@ -106,8 +106,6 @@ def transfer(
     if nlos_only:
         cir = cir.nlos_only()
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if cir.powers.size == 0:
-        return np.zeros(freqs.size, dtype=complex)
     return _response(cir.powers, cir.delays, freqs)
 
 
@@ -200,7 +198,7 @@ def stfcf(
     same_link = tuple(other_link) == tuple(link)
     for k, scene in enumerate(scenes):
         cir1 = cir_snapshot(link[0], link[1], link[2], scene, t)
-        h1 = _response(cir1.powers, cir1.delays, f_arr)[0] if cir1.powers.size else 0j
+        h1 = _response(cir1.powers, cir1.delays, f_arr)[0]
         zero_products[k] = h1 * np.conj(h1)
 
         for dt_u in np.unique(dt_arr):
@@ -211,10 +209,7 @@ def stfcf(
             else:
                 i2, j2, p2 = other_link
                 cir2 = cir_snapshot(i2, j2, p2, scene, t + dt_u)
-            if cir2.powers.size:
-                h2 = _response(cir2.powers, cir2.delays, freqs)
-            else:
-                h2 = np.zeros(freqs.size, dtype=complex)
+            h2 = _response(cir2.powers, cir2.delays, freqs)
             products[k, sel] = h1 * np.conj(h2)
 
     return CorrelationSeries(

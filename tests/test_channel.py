@@ -262,6 +262,38 @@ def test_los_tap_none_outside_fov():
     assert _los_cir(scene, 0.0).powers.size == 0
 
 
+def test_los_tap_none_when_element_faces_away():
+    # element (1, 1) faces -x, away from the receiver: the direct path
+    # carries no power, while scattered paths still reach the detectors
+    cfg = default_config().merged({
+        "array": {"row_azimuth_deg": 270.0},
+        "receiver": {"n_pd": 3},
+    })
+    scene = cfg.build_scene(1)
+    assert _los_cir(scene, 0.0).powers.size == 0
+    snapshot = scene.at(0.0)
+    kinds = np.concatenate([
+        cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot).kinds for p in (1, 2, 3)
+    ])
+    assert int(TapKind.LOS) not in kinds
+    assert int(TapKind.SB) in kinds and int(TapKind.DB) in kinds
+
+
+def test_los_only_call_finishes_one_leg(monkeypatch):
+    # the empty single- and double-bounce legs skip the detector finish
+    finish = vlcsim.channel._pd_incidence
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(vlcsim.channel, "_pd_incidence", counting)
+    scene = default_config().build_scene(SEED)
+    assert _los_cir(scene, 0.0).kinds.tolist() == [int(TapKind.LOS)]
+    assert len(calls) == 1
+
+
 SMALL = {
     "array": {"rows": 2, "cols": 2},
     "evolution": {"birth_rate_per_m": 8.0},

@@ -122,6 +122,25 @@ def test_bandwidth_needs_dc_power():
         bandwidth_3db(ctf(cir, np.linspace(0.0, 1e8, 16)))
 
 
+def _lonely_scene():
+    """A scene with no clusters whose receiver faces away: no taps at all."""
+    no_clusters = ClusterSet(
+        np.zeros((0, 1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0, np.zeros(3)
+    )
+    return Scene(
+        array=LedArray(),
+        receiver=Receiver(azimuth=0.0),
+        evolution=EvolutionParams(),
+        distribution=ClusterDistribution(),
+        tx=no_clusters,
+        rx=no_clusters,
+        visibility=np.zeros((4, 4, 0), dtype=bool),
+        is_db=np.zeros(0, dtype=bool),
+        partner=np.zeros(0, dtype=int),
+        seed=0,
+    )
+
+
 def test_transfer_consistency_and_empty():
     cfg = default_config().merged(SMALL)
     scene = cfg.build_scene(SEED)
@@ -134,22 +153,14 @@ def test_transfer_consistency_and_empty():
     assert np.allclose(full - nlos, los, rtol=1e-12, atol=1e-20)
 
     # all rays pruned -> exact zeros
-    no_clusters = ClusterSet(
-        np.zeros((0, 1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0, np.zeros(3)
-    )
-    lonely = Scene(
-        array=LedArray(),
-        receiver=Receiver(azimuth=0.0),
-        evolution=EvolutionParams(),
-        distribution=ClusterDistribution(),
-        tx=no_clusters,
-        rx=no_clusters,
-        visibility=np.zeros((4, 4, 0), dtype=bool),
-        is_db=np.zeros(0, dtype=bool),
-        partner=np.zeros(0, dtype=int),
-        seed=0,
-    )
-    assert np.array_equal(transfer(lonely, (1, 1, 1), 0.0, freqs), np.zeros(3))
+    assert np.array_equal(transfer(_lonely_scene(), (1, 1, 1), 0.0, freqs), np.zeros(3))
+
+
+def test_stfcf_of_tapless_scenes_is_zero():
+    lonely = [_lonely_scene(), _lonely_scene()]
+    series = stfcf(lonely, (1, 1, 1), (1, 2, 1), 0.0, 1e6, [0.0, 0.1], [0.0, 2e6])
+    assert np.array_equal(series.products, np.zeros((2, 2)))
+    assert series.zero_lag == 0.0
 
 
 def test_received_power_matches_manual_sum():
