@@ -11,6 +11,8 @@ Indices i, j, p are 1-based throughout, matching the element grid.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -24,6 +26,7 @@ from .scene import Scene, SceneSnapshot
 
 SPEED_OF_LIGHT = 2.99792458e8
 _NO_ROWS = np.empty(0, dtype=int)
+_PAD_ROW = np.zeros((1, 3))
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -221,34 +224,117 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: 
                 cluster_id[ok], scatterer_id[ok])
 
 
-def _taps(snapshot: SceneSnapshot, i: int, j: int, p: int, idx: np.ndarray, kind: TapKind):
-    """(power, delay, cluster_id, scatterer_id) of the ``kind`` taps at detector p.
+class _Layout(NamedTuple):
+    """The kept rays of the LoS, SB and DB legs of some elements, element-major.
 
-    ``idx`` holds the visible clusters (none for the direct path). The
-    detector-independent leg comes from the snapshot's cache: an entry
-    is reused while ``idx``, the receiver position and, when either
-    cluster side drifts, the instant are the ones it was built for.
+    Element e owns rays ``bounds[e]:bounds[e + 1]`` and ``order`` holds
+    each element's stable delay order in its own span. ``u`` ends in one
+    zero row, so ``u @ n`` always runs as the gemv a leg of several
+    candidate rays gets on its own. A one-candidate leg gets a dot
+    product instead, which can round differently: ``single`` indexes
+    those rays, and ``u_single`` stacks them as (1, 3) matrices, whose
+    product numpy again takes as one dot product each. ``mid`` is 1.0
+    outside double bounces, an exact factor.
+    """
+
+    u: np.ndarray
+    single: np.ndarray
+    u_single: np.ndarray
+    head: np.ndarray
+    dr2: np.ndarray
+    mid: np.ndarray
+    delay: np.ndarray
+    kind: np.ndarray
+    cluster: np.ndarray
+    scatterer: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+
+@functools.cache
+def _all_elements(rows: int, cols: int) -> tuple:
+    return tuple((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
+
+
+def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layout:
+    """The layout of ``elements`` under visibility ``mask``.
+
+    The layout and each detector-independent leg come from the
+    snapshot's cache. An entry is reused while the visible clusters, the
+    receiver position and, when either cluster side drifts, the instant
+    are the ones it was built for; a layout is rebuilt, from cached legs
+    where they still hold, whenever one of them changes.
     """
     scene = snapshot.scene
     drifting = scene.tx.velocity.any() or scene.rx.velocity.any()
-    tag = (idx.tobytes(), snapshot.rx_position.tobytes(),
-           snapshot.time if drifting else None)
-    entry = snapshot._legs.get((i, j, kind))
-    if entry is None or entry[0] != tag:
-        build = _los_leg if kind == TapKind.LOS else _bounce_leg
-        entry = snapshot._legs[(i, j, kind)] = (tag, build(snapshot, i, j, idx, kind))
-    leg = entry[1]
-    if leg.delay.size == 0:
-        return leg.head, leg.delay, leg.cluster, leg.scatterer
-    # the product runs over every candidate ray: numpy takes a dot product
-    # instead of gemv for a single row, which can round differently
-    cos_pd = -(leg.u_r @ snapshot.pd_normals[p - 1])[leg.keep]
-    gain, in_fov = _pd_incidence(scene.receiver.optics, cos_pd)
-    power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
-    if leg.mid is not None:
-        power = power * leg.mid
+    where = (snapshot.rx_position.tobytes(), snapshot.time if drifting else None)
+    tag = (b"".join(mask[i - 1, j - 1].tobytes() for i, j in elements), *where)
+    entry = snapshot._legs.get(elements)
+    if entry is not None and entry[0] == tag:
+        return entry[1]
+
+    legs = []
+    for i, j in elements:
+        vis = np.flatnonzero(mask[i - 1, j - 1])
+        db = scene.is_db[vis]
+        for kind, idx in ((TapKind.LOS, _NO_ROWS), (TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
+            leg_tag = (idx.tobytes(), *where)
+            leg = snapshot._legs.get((i, j, kind))
+            if leg is None or leg[0] != leg_tag:
+                build = _los_leg if kind == TapKind.LOS else _bounce_leg
+                leg = snapshot._legs[(i, j, kind)] = (leg_tag, build(snapshot, i, j, idx, kind))
+            legs.append(leg[1])
+
+    sizes = [leg.delay.size for leg in legs]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    bounds = starts[::3]
+    single = np.array([s for s, leg in zip(starts, legs) if leg.keep.size == 1 == leg.delay.size],
+                      dtype=np.intp)
+    u = np.concatenate([leg.u_r.compress(leg.keep, axis=0) for leg in legs] + [_PAD_ROW])
+    delay = np.concatenate([leg.delay for leg in legs])
+    mid = np.ones(delay.size)
+    for a, leg in zip(starts, legs):
+        if leg.mid is not None:
+            mid[a:a + leg.mid.size] = leg.mid
+    layout = _Layout(
+        u,
+        single,
+        u[single, None, :],
+        np.concatenate([leg.head for leg in legs]),
+        np.concatenate([leg.dr2 for leg in legs]),
+        mid,
+        delay,
+        np.repeat(np.array([*TapKind] * len(elements), dtype=np.int8), sizes),
+        np.concatenate([leg.cluster for leg in legs]),
+        np.concatenate([leg.scatterer for leg in legs]),
+        np.concatenate([np.argsort(delay[a:b], kind="stable") + a
+                        for a, b in zip(bounds, bounds[1:])]),
+        np.array(bounds),
+    )
+    snapshot._legs[elements] = (tag, layout)
+    return layout
+
+
+def _finish(snapshot: SceneSnapshot, layout: _Layout, p: int):
+    """The taps of every element of ``layout`` at detector p.
+
+    Returns (power, delay, kind, cluster_id, scatterer_id), element-major
+    and sorted by delay within each element, and the list of cuts: the
+    taps of element e are ``cuts[e]:cuts[e + 1]``.
+    """
+    n_pd = snapshot.pd_normals[p - 1]
+    dots = layout.u @ n_pd
+    dots[layout.single] = (layout.u_single @ n_pd)[:, 0]
+    cos_pd = -dots[:-1]
+    gain, in_fov = _pd_incidence(snapshot.scene.receiver.optics, cos_pd)
+    power = layout.head * np.maximum(cos_pd, 0.0) / layout.dr2 * gain * layout.mid
     ok = in_fov & (power > 0.0)
-    return power[ok], leg.delay[ok], leg.cluster[ok], leg.scatterer[ok]
+    # a stable sort restricted to the taps that pass is their stable sort
+    sel = layout.order[ok[layout.order]]
+    cuts = ok.nonzero()[0].searchsorted(layout.bounds).tolist()
+    fields = (power[sel], layout.delay[sel], layout.kind[sel],
+              layout.cluster[sel], layout.scatterer[sel])
+    return fields, cuts
 
 
 def cir_snapshot(
@@ -266,8 +352,14 @@ def cir_snapshot(
     have its shape. Pass one precomputed ``snapshot`` to calls at the
     same instant to share the receiver position, the detector normals
     and the detector-independent legs of every ray (for example across
-    the detectors of an angle-diversity head).
+    the detectors of an angle-diversity head). A call finishes the rays
+    of its own element only, unless the snapshot comes from
+    :func:`channel_over_time`: then the first call at a detector
+    finishes every element of the instant and the others read their
+    share.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time t = {t} is not finite")
     if snapshot is None:
         snapshot = scene.at(t)
     mask = scene.visibility if visibility is None else visibility
@@ -276,27 +368,16 @@ def cir_snapshot(
             f"visibility override has shape {mask.shape}, "
             f"the scene's mask has shape {scene.visibility.shape}"
         )
-    vis = np.flatnonzero(mask[i - 1, j - 1])
-    sb_idx = vis[~scene.is_db[vis]]
-    db_idx = vis[scene.is_db[vis]]
-
-    parts = []
-    for kind, idx in ((TapKind.LOS, _NO_ROWS), (TapKind.SB, sb_idx), (TapKind.DB, db_idx)):
-        pw, dl, cid, sid = _taps(snapshot, i, j, p, idx, kind)
-        parts.append((pw, dl, np.full(pw.size, int(kind), dtype=np.int8), cid, sid))
-
-    powers, delays, kinds, clusters, scats = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(delays, kind="stable")
-    return Cir(
-        powers[order],
-        delays[order],
-        kinds[order],
-        clusters[order],
-        scats[order],
-        (i, j),
-        p,
-        t,
-    )
+    if visibility is None and snapshot._finished is not None:
+        elements = _all_elements(scene.array.rows, scene.array.cols)
+        e, finished = (i - 1) * scene.array.cols + j - 1, snapshot._finished
+    else:
+        elements, e, finished = ((i, j),), 0, {}
+    if p not in finished:
+        finished[p] = _finish(snapshot, _layout(snapshot, elements, mask), p)
+    fields, cuts = finished[p]
+    a, b = cuts[e], cuts[e + 1]
+    return Cir(*(x[a:b] for x in fields), (i, j), p, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,22 +397,31 @@ class ChannelMatrix:
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     """Evaluate every sub-channel at each requested time.
 
-    The instants share one leg cache: a ray's detector-independent leg
-    carries over to the next instant while the receiver stays where it
-    was and no cluster side drifts, so a receiver that only rotates
-    recomputes just the detector incidence. The cache is dropped on
-    return.
+    ``times`` is one time or a 1-D sequence of finite times. The
+    sub-channels of one instant share one finish per detector: its
+    first ``cir_snapshot`` call computes the detector incidence of every
+    element's rays in one pass and each call reads its own element's
+    taps, in the same bits a lone ``cir_snapshot`` gives. The instants
+    share one leg cache: a ray's detector-independent leg carries over
+    to the next instant while the receiver stays where it was and no
+    cluster side drifts, so a receiver that only rotates recomputes
+    just the detector incidence. The cache is dropped on return.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or 1-D, got an array of shape {times.shape}")
+    times = np.atleast_1d(times).tolist()
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"time t = {t} is not finite")
     legs: dict = {}
     out = []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        snapshot = SceneSnapshot(scene, float(t), legs)
+    for t in times:
+        snapshot = SceneSnapshot(scene, t, legs, {})
         cirs = {}
         for i in range(1, scene.array.rows + 1):
             for j in range(1, scene.array.cols + 1):
                 for p in range(1, scene.receiver.n_pd + 1):
-                    cirs[(i, j, p)] = cir_snapshot(
-                        i, j, p, scene, float(t), snapshot=snapshot
-                    )
-        out.append(ChannelMatrix(float(t), cirs))
+                    cirs[(i, j, p)] = cir_snapshot(i, j, p, scene, t, snapshot=snapshot)
+        out.append(ChannelMatrix(t, cirs))
     return out

@@ -421,13 +421,18 @@ class SceneSnapshot:
     """The receiver position and detector normals of a scene at one instant.
 
     ``_legs`` caches the detector-independent ray legs that
-    :func:`vlcsim.channel.cir_snapshot` builds; :meth:`Scene.at` gives
-    each snapshot its own.
+    :func:`vlcsim.channel.cir_snapshot` builds, and their element-major
+    layouts; :meth:`Scene.at` gives each snapshot its own. ``_finished``
+    is None unless :func:`vlcsim.channel.channel_over_time` evaluates
+    every sub-channel of the instant: then it holds, per detector, the
+    one finish that serves all elements, and each call reads its share.
+    A snapshot without it finishes only the element of each call.
     """
 
     scene: "Scene"
     time: float
     _legs: dict = field(default_factory=dict, repr=False)
+    _finished: dict | None = field(default=None, repr=False)
 
     @cached_property
     def rx_position(self) -> np.ndarray:

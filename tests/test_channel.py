@@ -24,6 +24,7 @@ from vlcsim import (
     channel_over_time,
     cir_snapshot,
     default_config,
+    transfer,
 )
 from vlcsim.geometry import ArrayOrientation, direction
 from vlcsim.scene import ClusterSet, Scene
@@ -550,3 +551,140 @@ def test_channel_over_time_leaves_no_legs_behind(leg_builds):
     gc.collect()
     assert leg_builds and all(ref() is None for ref in leg_builds)
     pickle.loads(pickle.dumps(scene))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(t):
+    # a static scene used to give a tapless CIR with dc_gain 0.0
+    scene = default_config().build_scene(SEED)
+    named = f"time.*{t}"
+    with pytest.raises(ValueError, match=named):
+        cir_snapshot(1, 1, 1, scene, t)
+    with pytest.raises(ValueError, match=named):
+        transfer(scene, (1, 1, 1), t, [0.0, 1e6])
+    with pytest.raises(ValueError, match=named):
+        channel_over_time(scene, [0.0, t])
+
+
+def test_channel_over_time_rejects_two_dimensional_times():
+    scene = default_config().build_scene(SEED)
+    with pytest.raises(ValueError, match=re.escape("(2, 2)")):
+        channel_over_time(scene, [[0.0, 0.5], [1.0, 1.5]])
+
+
+def test_channel_over_time_hands_out_each_cir_once(monkeypatch):
+    # every CIR leaves through the module-global cir_snapshot, once per
+    # (instant, element, detector): what a call-counting tracer relies on
+    original = vlcsim.channel.cir_snapshot
+    handed = []
+
+    def counting(*args, **kwargs):
+        cir = original(*args, **kwargs)
+        handed.append(cir)
+        return cir
+
+    monkeypatch.setattr(vlcsim.channel, "cir_snapshot", counting)
+    scene = _moving_config(rot_az=45.0).build_scene(SEED)
+    times = [0.0, 0.25, 0.5]
+    mats = channel_over_time(scene, times)
+    keys = [(c.time, c.element, c.pd) for c in handed]
+    assert len(keys) == len(set(keys)) == len(times) * 2 * 2 * 3
+    assert [id(c) for m in mats for c in m] == [id(c) for c in handed]
+
+
+BATCH_CASES = {
+    "element-facing-away": {"array": {"row_azimuth_deg": 270.0}},
+    "elements-without-clusters": {"evolution": {"birth_rate_per_m": 4.0}},
+    "one-scatterer-clusters": {
+        "evolution": {"birth_rate_per_m": 4.0},
+        "clusters": {"scatterers_per_cluster": 1},
+    },
+    "three-detectors": {"receiver": {"n_pd": 3, "fov_deg": 60.0}},
+    "pointwise-concentrator": {"receiver": {"concentrator_mode": "pointwise"}},
+    "full-array": {},
+}
+
+
+def _per_leg_fields(scene, i, j, p, t, visibility=None):
+    """The CIR fields of sub-channel (i, j, p), finished one leg at a time:
+    each leg's incidence cosines come from its own ``u_r @ n`` product."""
+    snapshot = scene.at(t)
+    n_pd = snapshot.pd_normals[p - 1]
+    mask = scene.visibility if visibility is None else visibility
+    vis = np.flatnonzero(mask[i - 1, j - 1])
+    db = scene.is_db[vis]
+    parts = []
+    for kind, idx in ((TapKind.LOS, vis[:0]), (TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
+        build = vlcsim.channel._los_leg if kind == TapKind.LOS else vlcsim.channel._bounce_leg
+        leg = build(snapshot, i, j, idx, kind)
+        cos_pd = -(leg.u_r @ n_pd)[leg.keep]
+        gain, in_fov = vlcsim.channel._pd_incidence(scene.receiver.optics, cos_pd)
+        power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
+        if leg.mid is not None:
+            power = power * leg.mid
+        ok = in_fov & (power > 0.0)
+        kinds = np.full(int(ok.sum()), int(kind), dtype=np.int8)
+        parts.append((power[ok], leg.delay[ok], kinds, leg.cluster[ok], leg.scatterer[ok]))
+    fields = [np.concatenate(x) for x in zip(*parts)]
+    order = np.argsort(fields[1], kind="stable")
+    return [x[order] for x in fields]
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_channel_over_time_equals_lone_calls(case):
+    # the finish shared by every element of an instant gives each CIR the
+    # fields and dtypes of a lone call that finishes its element alone, and
+    # both give the bits of finishing each leg on its own
+    cfg = default_config().merged(BATCH_CASES[case]).merged(
+        {"receiver": {"rot_azimuth_deg_s": 40.0, "rot_elevation_deg_s": 15.0}}
+    )
+    scene = cfg.build_scene(SEED)
+    assert scene.visibility.shape[:2] == (4, 4)
+    visible = scene.visibility & ~scene.is_db, scene.visibility & scene.is_db
+    if case == "element-facing-away":
+        assert _los_cir(scene, 0.0).powers.size == 0
+    if case == "elements-without-clusters":
+        assert (scene.visibility.sum(axis=-1) == 0).any()
+    if case == "one-scatterer-clusters":   # one-row SB and DB legs
+        assert all((side.sum(axis=-1) == 1).any() for side in visible)
+    times = [0.0, 0.5]
+    for t, matrix in zip(times, channel_over_time(scene, times)):
+        for (i, j, p), cir in matrix.cirs.items():
+            lone = cir_snapshot(i, j, p, scene, t)
+            per_leg = _per_leg_fields(scene, i, j, p, t)
+            for name, want in zip(CIR_FIELDS, per_leg):
+                for got in (getattr(cir, name), getattr(lone, name)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+            assert (cir.element, cir.pd, cir.time) == (lone.element, lone.pd, lone.time)
+
+
+def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
+    # elements of row 1 face away, so there is no direct path: calls whose
+    # only ray is the one of 100 candidates that passed the static gates,
+    # seen by a turning three-detector head
+    cfg = default_config().merged({
+        "array": {"row_azimuth_deg": 270.0},
+        "receiver": {"n_pd": 3, "fov_deg": 90.0, "rot_azimuth_deg_s": 37.0},
+    })
+    scene = cfg.build_scene(1)
+    snapshot = scene.at(0.0)
+    lone_rays = []
+    for k in scene.visible_indices(1, 2):
+        kind = TapKind.DB if scene.is_db[k] else TapKind.SB
+        leg = vlcsim.channel._bounce_leg(snapshot, 1, 2, np.array([k]), kind)
+        if leg.keep.size > 1 and leg.keep.sum() == 1:
+            lone_rays.append(k)
+    assert lone_rays
+    override = np.zeros_like(scene.visibility)
+    override[0, 1, lone_rays[0]] = True
+    taps = 0
+    for t in np.linspace(0.0, 9.0, 10):
+        for p in (1, 2, 3):
+            cir = cir_snapshot(1, 2, p, scene, t, visibility=override)
+            assert cir.powers.size <= 1 and int(TapKind.LOS) not in cir.kinds
+            taps += cir.powers.size
+            per_leg = _per_leg_fields(scene, 1, 2, p, t, override)
+            for name, want in zip(CIR_FIELDS, per_leg):
+                assert np.array_equal(getattr(cir, name), want)
+    assert taps >= 10
