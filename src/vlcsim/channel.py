@@ -120,7 +120,7 @@ _EMPTY_LEG = _Leg(np.empty((0, 3)), np.empty(0, dtype=bool), np.empty(0), np.emp
                   None, np.empty(0), _NO_ROWS, _NO_ROWS)
 
 
-def _los_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
+def _los_leg(snapshot: SceneSnapshot, i: int, j: int):
     """The direct path from element (i, j) to the receiver."""
     scene = snapshot.scene
     led = scene.array.element_position(i, j)
@@ -257,33 +257,19 @@ def _all_elements(rows: int, cols: int) -> tuple:
 
 
 def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layout:
-    """The layout of ``elements`` under visibility ``mask``.
-
-    The layout and each detector-independent leg come from the
-    snapshot's cache. An entry is reused while the visible clusters, the
-    receiver position and, when either cluster side drifts, the instant
-    are the ones it was built for; a layout is rebuilt, from cached legs
-    where they still hold, whenever one of them changes.
+    """The LoS, SB and DB legs of ``elements`` under visibility ``mask``,
+    each built afresh, concatenated element-major. Only
+    :func:`cir_snapshot` caches a layout: never one of an override, and
+    across instants only when nothing moves.
     """
     scene = snapshot.scene
-    drifting = scene.tx.velocity.any() or scene.rx.velocity.any()
-    where = (snapshot.rx_position.tobytes(), snapshot.time if drifting else None)
-    tag = (b"".join(mask[i - 1, j - 1].tobytes() for i, j in elements), *where)
-    entry = snapshot._legs.get(elements)
-    if entry is not None and entry[0] == tag:
-        return entry[1]
-
     legs = []
     for i, j in elements:
         vis = np.flatnonzero(mask[i - 1, j - 1])
         db = scene.is_db[vis]
-        for kind, idx in ((TapKind.LOS, _NO_ROWS), (TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
-            leg_tag = (idx.tobytes(), *where)
-            leg = snapshot._legs.get((i, j, kind))
-            if leg is None or leg[0] != leg_tag:
-                build = _los_leg if kind == TapKind.LOS else _bounce_leg
-                leg = snapshot._legs[(i, j, kind)] = (leg_tag, build(snapshot, i, j, idx, kind))
-            legs.append(leg[1])
+        legs += (_los_leg(snapshot, i, j),
+                 _bounce_leg(snapshot, i, j, vis[~db], TapKind.SB),
+                 _bounce_leg(snapshot, i, j, vis[db], TapKind.DB))
 
     sizes = [leg.delay.size for leg in legs]
     starts = list(itertools.accumulate(sizes, initial=0))
@@ -296,7 +282,7 @@ def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layo
     for a, leg in zip(starts, legs):
         if leg.mid is not None:
             mid[a:a + leg.mid.size] = leg.mid
-    layout = _Layout(
+    return _Layout(
         u,
         single,
         u[single, None, :],
@@ -311,8 +297,6 @@ def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layo
                         for a, b in zip(bounds, bounds[1:])]),
         np.array(bounds),
     )
-    snapshot._legs[elements] = (tag, layout)
-    return layout
 
 
 def _finish(snapshot: SceneSnapshot, layout: _Layout, p: int):
@@ -349,10 +333,12 @@ def cir_snapshot(
     """Impulse response of sub-channel (i, j, p) at time ``t``.
 
     ``visibility`` overrides the scene's own birth-death mask and must
-    have its shape. Pass one precomputed ``snapshot`` to calls at the
-    same instant to share the receiver position, the detector normals
-    and the detector-independent legs of every ray (for example across
-    the detectors of an angle-diversity head). A call finishes the rays
+    have its shape; its layout serves this call alone. Calls at one
+    instant can share one ``snapshot = scene.at(t)`` (one of another
+    scene or time raises ``ValueError``) and with it the receiver
+    position, the detector normals and the layout of the
+    detector-independent part of every ray, for example across the
+    detectors of an angle-diversity head. A call finishes the rays
     of its own element only, unless the snapshot comes from
     :func:`channel_over_time`: then the first call at a detector
     finishes every element of the instant and the others read their
@@ -362,6 +348,11 @@ def cir_snapshot(
         raise ValueError(f"time t = {t} is not finite")
     if snapshot is None:
         snapshot = scene.at(t)
+    elif snapshot.scene is not scene:
+        raise ValueError(f"snapshot belongs to another scene (seed {snapshot.scene.seed}) "
+                         f"than the one of this call (seed {scene.seed})")
+    elif snapshot.time != t:
+        raise ValueError(f"snapshot is at time {snapshot.time}, the call at t = {t}")
     mask = scene.visibility if visibility is None else visibility
     if mask.shape != scene.visibility.shape:
         raise ValueError(
@@ -374,7 +365,10 @@ def cir_snapshot(
     else:
         elements, e, finished = ((i, j),), 0, {}
     if p not in finished:
-        finished[p] = _finish(snapshot, _layout(snapshot, elements, mask), p)
+        layouts = snapshot._layouts if visibility is None else {}
+        if elements not in layouts:
+            layouts[elements] = _layout(snapshot, elements, mask)
+        finished[p] = _finish(snapshot, layouts[elements], p)
     fields, cuts = finished[p]
     a, b = cuts[e], cuts[e + 1]
     return Cir(*(x[a:b] for x in fields), (i, j), p, t)
@@ -401,11 +395,11 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     sub-channels of one instant share one finish per detector: its
     first ``cir_snapshot`` call computes the detector incidence of every
     element's rays in one pass and each call reads its own element's
-    taps, in the same bits a lone ``cir_snapshot`` gives. The instants
-    share one leg cache: a ray's detector-independent leg carries over
-    to the next instant while the receiver stays where it was and no
-    cluster side drifts, so a receiver that only rotates recomputes
-    just the detector incidence. The cache is dropped on return.
+    taps, in the same bits a lone ``cir_snapshot`` gives. A scene where
+    nothing moves (receiver speed and cluster velocities zero) shares
+    one layout across its instants, so a receiver that only rotates
+    recomputes just the detector incidence; a moving scene builds a
+    fresh layout per instant. Nothing stays cached after the call.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
@@ -414,10 +408,11 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"time t = {t} is not finite")
-    legs: dict = {}
+    moving = scene.receiver.speed != 0 or scene.tx.velocity.any() or scene.rx.velocity.any()
+    static_layouts: dict = {}
     out = []
     for t in times:
-        snapshot = SceneSnapshot(scene, t, legs, {})
+        snapshot = SceneSnapshot(scene, t, {} if moving else static_layouts, {})
         cirs = {}
         for i in range(1, scene.array.rows + 1):
             for j in range(1, scene.array.cols + 1):

@@ -420,9 +420,9 @@ def _draw_cluster(
 class SceneSnapshot:
     """The receiver position and detector normals of a scene at one instant.
 
-    ``_legs`` caches the detector-independent ray legs that
-    :func:`vlcsim.channel.cir_snapshot` builds, and their element-major
-    layouts; :meth:`Scene.at` gives each snapshot its own. ``_finished``
+    ``_layouts`` maps element tuples to the ray layouts that
+    :func:`vlcsim.channel.cir_snapshot` builds under the scene's own
+    mask; :meth:`Scene.at` gives each snapshot its own. ``_finished``
     is None unless :func:`vlcsim.channel.channel_over_time` evaluates
     every sub-channel of the instant: then it holds, per detector, the
     one finish that serves all elements, and each call reads its share.
@@ -431,7 +431,7 @@ class SceneSnapshot:
 
     scene: "Scene"
     time: float
-    _legs: dict = field(default_factory=dict, repr=False)
+    _layouts: dict = field(default_factory=dict, repr=False)
     _finished: dict | None = field(default=None, repr=False)
 
     @cached_property

@@ -542,6 +542,39 @@ def test_visibility_override_misses_a_shared_snapshot(leg_builds):
         assert np.array_equal(getattr(again, name), getattr(full, name))
 
 
+def test_detectors_share_the_layout_of_one_snapshot(leg_builds):
+    # the three detectors of a head build each bounce leg once, and an
+    # override call on their snapshot leaves its layout in place
+    scene = _moving_config().build_scene(SEED)
+    snapshot = scene.at(0.0)
+    cirs = [cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot) for p in (1, 2, 3)]
+    assert len(leg_builds) == 2
+    override = scene.visibility.copy()
+    override[0, 0, np.flatnonzero(override[0, 0])[::2]] = False
+    cir_snapshot(1, 1, 1, scene, 0.0, visibility=override, snapshot=snapshot)
+    built = len(leg_builds)
+    for p, cir in zip((1, 2, 3), cirs):
+        again = cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot)
+        for name in CIR_FIELDS:
+            assert np.array_equal(getattr(again, name), getattr(cir, name))
+    assert len(leg_builds) == built
+
+
+def test_snapshot_of_another_instant_or_scene_is_rejected():
+    # a snapshot used to give the geometry of its own instant under the
+    # label of the call's, and to pair its clusters with the call's mask
+    cfg = _moving_config(rx_speed=0.5)
+    scene = cfg.build_scene(SEED)
+    with pytest.raises(ValueError, match=r"time 0\.0.*t = 1\.0"):
+        cir_snapshot(1, 1, 1, scene, 1.0, snapshot=scene.at(0.0))
+    twin = cfg.build_scene(SEED)
+    with pytest.raises(ValueError, match=f"another scene.*seed {SEED}.*seed {SEED}"):
+        cir_snapshot(1, 1, 1, scene, 0.0, snapshot=twin.at(0.0))
+    other = cfg.build_scene(SEED + 1)
+    with pytest.raises(ValueError, match=f"seed {SEED + 1}.*seed {SEED}"):
+        cir_snapshot(1, 1, 1, scene, 0.0, snapshot=other.at(0.0))
+
+
 def test_channel_over_time_leaves_no_legs_behind(leg_builds):
     scene = _moving_config(rot_az=45.0).build_scene(SEED)
     before = dict(vars(scene))
@@ -614,9 +647,12 @@ def _per_leg_fields(scene, i, j, p, t, visibility=None):
     vis = np.flatnonzero(mask[i - 1, j - 1])
     db = scene.is_db[vis]
     parts = []
-    for kind, idx in ((TapKind.LOS, vis[:0]), (TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
-        build = vlcsim.channel._los_leg if kind == TapKind.LOS else vlcsim.channel._bounce_leg
-        leg = build(snapshot, i, j, idx, kind)
+    legs = (
+        (TapKind.LOS, vlcsim.channel._los_leg(snapshot, i, j)),
+        (TapKind.SB, vlcsim.channel._bounce_leg(snapshot, i, j, vis[~db], TapKind.SB)),
+        (TapKind.DB, vlcsim.channel._bounce_leg(snapshot, i, j, vis[db], TapKind.DB)),
+    )
+    for kind, leg in legs:
         cos_pd = -(leg.u_r @ n_pd)[leg.keep]
         gain, in_fov = vlcsim.channel._pd_incidence(scene.receiver.optics, cos_pd)
         power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
