@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -136,19 +137,34 @@ def _los_leg(snapshot: SceneSnapshot, i: int, j: int):
                 None, np.array([d / SPEED_OF_LIGHT]), np.array([-1]), np.array([-1]))
 
 
-def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
-    """Detector-independent part of the rays through the clusters ``idx``.
+class _TxHalf(NamedTuple):
+    """The LED-side half of the rays through some clusters: every
+    candidate ray up to its exit scatterer, which no receiver motion
+    changes.
 
-    Drops rays that meet a zero distance or a back face (at the first
-    scatterer, on the middle hop, at exit) or that carry no power before
-    the detector; what is left holds for every detector normal.
+    ``ok`` marks the rays that pass the gates before the exit: a zero
+    distance or a back face at the first scatterer and, for a double
+    bounce, on the middle hop, and a middle hop without power.
+    ``prefix`` is the power up to the first scatterer,
+    ``f * A_tx * cos_in / d_t**2 * gamma``. ``d_s`` and ``mid`` (the
+    middle-hop length and power) are None for a single bounce.
     """
-    if idx.size == 0:
-        return _EMPTY_LEG
+
+    cluster: np.ndarray
+    scatterer: np.ndarray
+    exit_point: np.ndarray
+    exit_normal: np.ndarray
+    d_t: np.ndarray
+    ok: np.ndarray
+    prefix: np.ndarray
+    d_s: np.ndarray | None
+    mid: np.ndarray | None
+
+
+def _tx_half(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
+    """The LED-side half of the rays from element (i, j) through ``idx``."""
     scene = snapshot.scene
     led = scene.array.element_position(i, j)
-    rx = snapshot.rx_position
-    double = kind == TapKind.DB
 
     s_a, normal_a, gamma_a = scene.tx.take(idx, snapshot.time)   # (n, m, 3)
     n_cl, m = s_a.shape[:2]
@@ -165,63 +181,76 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: 
     f = _element_intensity(scene, i, j, s_a)
     cos_in_a = -np.einsum("ij,ij->i", u_t, normal_a)
     ok &= cos_in_a >= 0.0
-
-    if double:
-        s_z, normal_z, gamma_z = scene.rx.take(scene.partner[idx], snapshot.time)
-        m_z = s_z.shape[1]
-        cols = np.arange(m) % m_z               # index-aligned pairing
-        s_z = s_z[:, cols, :].reshape(-1, 3)
-        normal_z = np.repeat(normal_z, m, axis=0)
-        gamma_z = np.repeat(gamma_z, m)
-        vec_s = s_z - s_a
-        d_s = np.linalg.norm(vec_s, axis=1)
-        ok &= d_s > 1e-12
-        u_s = vec_s / np.where(d_s > 0, d_s, 1.0)[:, None]
-        cos_out_a = np.einsum("ij,ij->i", u_s, normal_a)
-        cos_in_z = -np.einsum("ij,ij->i", u_s, normal_z)
-        ok &= (cos_out_a >= 0.0) & (cos_in_z >= 0.0)
-        exit_point, exit_normal = s_z, normal_z
-    else:
-        exit_point, exit_normal = s_a, normal_a
-
-    vec_r = rx - exit_point
-    d_r = np.linalg.norm(vec_r, axis=1)
-    ok &= d_r > 1e-12
-    u_r = vec_r / np.where(d_r > 0, d_r, 1.0)[:, None]
-    cos_out = np.einsum("ij,ij->i", u_r, exit_normal)
-    ok &= cos_out >= 0.0
-
     cos_in_a = np.maximum(cos_in_a, 0.0)
-    cos_out = np.maximum(cos_out, 0.0)
-    head = (
-        f
-        * scene.tx.area_per_scatterer
-        * cos_in_a
-        / np.where(d_t > 0, d_t, 1.0) ** 2
-        * gamma_a
-        * (cos_out / math.pi)
-        * scene.receiver.area
+    prefix = (f * scene.tx.area_per_scatterer * cos_in_a
+              / np.where(d_t > 0, d_t, 1.0) ** 2 * gamma_a)
+    if kind != TapKind.DB:
+        return _TxHalf(cluster_id, scatterer_id, s_a, normal_a, d_t, ok, prefix, None, None)
+
+    s_z, normal_z, gamma_z = scene.rx.take(scene.partner[idx], snapshot.time)
+    m_z = s_z.shape[1]
+    cols = np.arange(m) % m_z               # index-aligned pairing
+    s_z = s_z[:, cols, :].reshape(-1, 3)
+    normal_z = np.repeat(normal_z, m, axis=0)
+    gamma_z = np.repeat(gamma_z, m)
+    vec_s = s_z - s_a
+    d_s = np.linalg.norm(vec_s, axis=1)
+    ok &= d_s > 1e-12
+    u_s = vec_s / np.where(d_s > 0, d_s, 1.0)[:, None]
+    cos_out_a = np.einsum("ij,ij->i", u_s, normal_a)
+    cos_in_z = -np.einsum("ij,ij->i", u_s, normal_z)
+    ok &= (cos_out_a >= 0.0) & (cos_in_z >= 0.0)
+    # extra hop: diffuse exit off the first cluster, capture at the second
+    mid = (
+        np.maximum(cos_out_a, 0.0)
+        / math.pi
+        * scene.rx.area_per_scatterer
+        * np.maximum(cos_in_z, 0.0)
+        / np.where(d_s > 0, d_s, 1.0) ** 2
+        * gamma_z
     )
+    ok &= mid > 0.0
+    return _TxHalf(cluster_id, scatterer_id, s_z, normal_z, d_t, ok, prefix, d_s, mid)
+
+
+def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind,
+                halves: dict | None = None):
+    """Detector-independent part of the rays through the clusters ``idx``.
+
+    Drops rays that meet a zero distance or a back face (at the first
+    scatterer, on the middle hop, at exit) or that carry no power before
+    the detector; what is left holds for every detector normal. The
+    LED-side half comes from ``halves`` under ``(i, j, kind)`` when the
+    caller passes that dict, and is built into it on a miss; the caller
+    keeps ``idx`` and the cluster positions the same for every key.
+    """
+    if idx.size == 0:
+        return _EMPTY_LEG
+    if halves is None:
+        tx = _tx_half(snapshot, i, j, idx, kind)
+    else:
+        tx = halves.get((i, j, kind))
+        if tx is None:
+            tx = halves[(i, j, kind)] = _tx_half(snapshot, i, j, idx, kind)
+
+    vec_r = snapshot.rx_position - tx.exit_point
+    d_r = np.linalg.norm(vec_r, axis=1)
+    ok = tx.ok & (d_r > 1e-12)
+    u_r = vec_r / np.where(d_r > 0, d_r, 1.0)[:, None]
+    cos_out = np.einsum("ij,ij->i", u_r, tx.exit_normal)
+    ok &= cos_out >= 0.0
+    cos_out = np.maximum(cos_out, 0.0)
+    head = tx.prefix * (cos_out / math.pi) * snapshot.scene.receiver.area
     ok &= head > 0.0   # a zero head gives zero power at every detector
-    delay = d_t + d_r
+    delay = tx.d_t + d_r
     mid = None
-    if double:
-        # extra hop: diffuse exit off the first cluster, capture at the second
-        mid = (
-            np.maximum(cos_out_a, 0.0)
-            / math.pi
-            * scene.rx.area_per_scatterer
-            * np.maximum(cos_in_z, 0.0)
-            / np.where(d_s > 0, d_s, 1.0) ** 2
-            * gamma_z
-        )
-        ok &= mid > 0.0
-        mid = mid[ok]
-        delay = delay + d_s
+    if tx.mid is not None:
+        mid = tx.mid[ok]
+        delay = delay + tx.d_s
     delay = delay / SPEED_OF_LIGHT
     dr2 = np.where(d_r > 0, d_r, 1.0) ** 2
     return _Leg(u_r, ok, dr2[ok], head[ok], mid, delay[ok],
-                cluster_id[ok], scatterer_id[ok])
+                tx.cluster[ok], tx.scatterer[ok])
 
 
 class _Layout(NamedTuple):
@@ -256,11 +285,13 @@ def _all_elements(rows: int, cols: int) -> tuple:
     return tuple((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
 
 
-def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layout:
+def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray,
+            halves: dict | None) -> _Layout:
     """The LoS, SB and DB legs of ``elements`` under visibility ``mask``,
-    each built afresh, concatenated element-major. Only
-    :func:`cir_snapshot` caches a layout: never one of an override, and
-    across instants only when nothing moves.
+    concatenated element-major. A bounce leg reads its LED-side half
+    from ``halves`` (see :func:`_bounce_leg`), which only the scene's
+    own mask may pass. Only :func:`cir_snapshot` caches a layout: never
+    one of an override, and across instants only when nothing moves.
     """
     scene = snapshot.scene
     legs = []
@@ -268,8 +299,8 @@ def _layout(snapshot: SceneSnapshot, elements: tuple, mask: np.ndarray) -> _Layo
         vis = np.flatnonzero(mask[i - 1, j - 1])
         db = scene.is_db[vis]
         legs += (_los_leg(snapshot, i, j),
-                 _bounce_leg(snapshot, i, j, vis[~db], TapKind.SB),
-                 _bounce_leg(snapshot, i, j, vis[db], TapKind.DB))
+                 _bounce_leg(snapshot, i, j, vis[~db], TapKind.SB, halves),
+                 _bounce_leg(snapshot, i, j, vis[db], TapKind.DB, halves))
 
     sizes = [leg.delay.size for leg in legs]
     starts = list(itertools.accumulate(sizes, initial=0))
@@ -365,9 +396,11 @@ def cir_snapshot(
     else:
         elements, e, finished = ((i, j),), 0, {}
     if p not in finished:
-        layouts = snapshot._layouts if visibility is None else {}
+        own = visibility is None
+        layouts = snapshot._layouts if own else {}
         if elements not in layouts:
-            layouts[elements] = _layout(snapshot, elements, mask)
+            layouts[elements] = _layout(snapshot, elements, mask,
+                                        snapshot._tx_halves if own else None)
         finished[p] = _finish(snapshot, layouts[elements], p)
     fields, cuts = finished[p]
     a, b = cuts[e], cuts[e + 1]
@@ -388,6 +421,29 @@ class ChannelMatrix:
         return iter(self.cirs.values())
 
 
+def _snapshots(scene: Scene, times, finish_all: bool = False) -> Iterator[SceneSnapshot]:
+    """Yields one snapshot of ``scene`` per instant of ``times``, sharing
+    what stays the same across them; each is made only when asked for,
+    so a caller that drops it frees what is its own.
+
+    Where nothing moves (receiver speed and cluster velocities zero) the
+    snapshots share one layout dict, so a rotating receiver recomputes
+    only the detector incidence. Where only the receiver moves, each
+    builds its own layouts but all share one dict of LED-side bounce
+    halves. Drifting clusters share nothing. With ``finish_all`` each
+    snapshot finishes every element of its instant at once (see
+    :func:`cir_snapshot`). Nothing they share outlives them and the
+    generator.
+    """
+    drifting = bool(scene.tx.velocity.any() or scene.rx.velocity.any())
+    moving = drifting or scene.receiver.speed != 0
+    layouts: dict = {}
+    halves = {} if moving and not drifting else None
+    for t in times:
+        yield SceneSnapshot(scene, t, {} if moving else layouts,
+                            {} if finish_all else None, halves)
+
+
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     """Evaluate every sub-channel at each requested time.
 
@@ -398,8 +454,10 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     taps, in the same bits a lone ``cir_snapshot`` gives. A scene where
     nothing moves (receiver speed and cluster velocities zero) shares
     one layout across its instants, so a receiver that only rotates
-    recomputes just the detector incidence; a moving scene builds a
-    fresh layout per instant. Nothing stays cached after the call.
+    recomputes just the detector incidence. A scene whose receiver
+    moves builds a fresh layout per instant, but the LED-side half of
+    each bounce leg (up to the exit scatterer) is built once per call
+    unless the clusters drift. Nothing stays cached after the call.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
@@ -408,11 +466,8 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"time t = {t} is not finite")
-    moving = scene.receiver.speed != 0 or scene.tx.velocity.any() or scene.rx.velocity.any()
-    static_layouts: dict = {}
     out = []
-    for t in times:
-        snapshot = SceneSnapshot(scene, t, {} if moving else static_layouts, {})
+    for t, snapshot in zip(times, _snapshots(scene, times, finish_all=True)):
         cirs = {}
         for i in range(1, scene.array.rows + 1):
             for j in range(1, scene.array.cols + 1):

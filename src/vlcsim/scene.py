@@ -427,12 +427,18 @@ class SceneSnapshot:
     every sub-channel of the instant: then it holds, per detector, the
     one finish that serves all elements, and each call reads its share.
     A snapshot without it finishes only the element of each call.
+    ``_tx_halves`` is None unless the snapshots of one
+    ``channel_over_time`` or :func:`vlcsim.stats.stfcf` call share it:
+    a scene whose receiver moves past static clusters. It maps
+    ``(i, j, kind)`` to the LED-side half of that bounce leg under the
+    scene's own mask, the same at every instant.
     """
 
     scene: "Scene"
     time: float
     _layouts: dict = field(default_factory=dict, repr=False)
     _finished: dict | None = field(default=None, repr=False)
+    _tx_halves: dict | None = field(default=None, repr=False)
 
     @cached_property
     def rx_position(self) -> np.ndarray:

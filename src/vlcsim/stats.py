@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as spstats
 
-from .channel import ChannelMatrix, Cir, cir_snapshot
+from .channel import ChannelMatrix, Cir, _snapshots, cir_snapshot
 from .errors import (
     ConfigMismatchError,
     DegenerateFitError,
@@ -179,7 +179,11 @@ def stfcf(
     """Space-time-frequency correlation between two sub-channels.
 
     ``dt_lags`` and ``df_lags`` broadcast against each other into one lag
-    axis.
+    axis. Each scene's CIRs at the anchor ``t`` and at each distinct
+    ``t + dt`` come from snapshots that share what stays the same across
+    those instants: for a receiver moving past static clusters, the
+    LED-side half of every bounce leg is built once per scene and call.
+    Every CIR has the bits of a lone ``cir_snapshot(..., scene, t + dt)``.
     """
     scenes = _check_ensemble(scenes)
     dt_arr, df_arr = np.broadcast_arrays(
@@ -196,19 +200,22 @@ def stfcf(
 
     f_arr = np.array([f], dtype=float)
     same_link = tuple(other_link) == tuple(link)
+    dt_unique = np.unique(dt_arr)
+    lagged = [t + dt_u for dt_u in dt_unique]
     for k, scene in enumerate(scenes):
-        cir1 = cir_snapshot(link[0], link[1], link[2], scene, t)
+        snapshots = _snapshots(scene, [t, *lagged])
+        cir1 = cir_snapshot(link[0], link[1], link[2], scene, t, snapshot=next(snapshots))
         h1 = _response(cir1.powers, cir1.delays, f_arr)[0]
         zero_products[k] = h1 * np.conj(h1)
 
-        for dt_u in np.unique(dt_arr):
+        for dt_u, t2, snapshot in zip(dt_unique, lagged, snapshots):
             sel = dt_arr == dt_u
             freqs = f + df_arr[sel]
             if same_link and dt_u == 0.0:
                 cir2 = cir1
             else:
                 i2, j2, p2 = other_link
-                cir2 = cir_snapshot(i2, j2, p2, scene, t + dt_u)
+                cir2 = cir_snapshot(i2, j2, p2, scene, t2, snapshot=snapshot)
             h2 = _response(cir2.powers, cir2.delays, freqs)
             products[k, sel] = h1 * np.conj(h2)
 
@@ -288,7 +295,7 @@ def bandwidth_3db(transfer_fn: Ctf) -> float | None:
     bisection to a relative tolerance of 1e-3. None when the magnitude
     never crosses inside the grid.
     """
-    mag2 = np.abs(transfer_fn.values) ** 2
+    mag2 = transfer_fn.magnitude ** 2
     h0 = abs(transfer_fn.value_at(0.0)) ** 2
     if h0 <= 0.0:
         raise ZeroGainError("bandwidth needs a positive DC response")

@@ -21,6 +21,8 @@ from vlcsim import (
     RxOptics,
     SPEED_OF_LIGHT,
     TapKind,
+    acf,
+    ccf,
     channel_over_time,
     cir_snapshot,
     default_config,
@@ -584,6 +586,90 @@ def test_channel_over_time_leaves_no_legs_behind(leg_builds):
     gc.collect()
     assert leg_builds and all(ref() is None for ref in leg_builds)
     pickle.loads(pickle.dumps(scene))
+
+
+@pytest.fixture
+def tx_half_builds(monkeypatch):
+    """Records (snapshot weakref, scene, time, i, j, kind) for every build
+    of a bounce leg's LED-side half."""
+    builder = vlcsim.channel._tx_half
+    calls = []
+
+    def counting(snapshot, i, j, idx, kind):
+        calls.append((weakref.ref(snapshot), snapshot.scene, snapshot.time, i, j, kind))
+        return builder(snapshot, i, j, idx, kind)
+
+    monkeypatch.setattr(vlcsim.channel, "_tx_half", counting)
+    return calls
+
+
+def _bounce_keys(scene, elements):
+    """The (i, j, kind) of every bounce leg of ``elements`` with a visible cluster."""
+    keys = []
+    for i, j in elements:
+        vis = scene.visibility[i - 1, j - 1]
+        for kind, db in ((TapKind.SB, False), (TapKind.DB, True)):
+            if (vis & (scene.is_db == db)).any():
+                keys.append((i, j, kind))
+    return keys
+
+
+@pytest.mark.parametrize("motion", [{}, {"rot_az": 45.0}, {"rx_speed": 0.5},
+                                    {"rx_speed": 0.5, "rot_az": 45.0}])
+def test_static_clusters_build_each_tx_half_once_per_call(tx_half_builds, motion):
+    # only the receiver moves: every instant of one call reuses the
+    # LED-side halves, and the next call builds its own
+    scenes = [_moving_config(**motion).build_scene(s) for s in (SEED, SEED + 1)]
+    elements = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert all(_bounce_keys(scene, [(1, 2)]) for scene in scenes)
+    times = [0.0, 0.2, 0.4, 0.2]
+    for _ in range(2):
+        channel_over_time(scenes[0], times)
+        built = sorted((i, j, kind) for *_, i, j, kind in tx_half_builds)
+        assert built == sorted(_bounce_keys(scenes[0], elements))
+        tx_half_builds.clear()
+    for estimate, links in (
+        (lambda: acf(scenes, (1, 2, 1), 0.3, 1e8, [0.0, 0.1, 0.2, 0.1]), [(1, 2)]),
+        (lambda: ccf(scenes, (1, 1, 1), (2, 2, 1), 0.3, 1e8), [(1, 1), (2, 2)]),
+    ):
+        for _ in range(2):
+            estimate()
+            for scene in scenes:
+                built = sorted((i, j, kind) for _, s, _, i, j, kind in tx_half_builds
+                               if s is scene)
+                assert built == sorted(_bounce_keys(scene, links))
+            tx_half_builds.clear()
+
+
+def test_drifting_clusters_build_tx_halves_every_instant(tx_half_builds):
+    scenes = [_moving_config(rx_speed=0.5, cluster_speed=0.5).build_scene(s)
+              for s in (SEED, SEED + 1)]
+    times = [0.0, 0.2, 0.4, 0.2]
+    channel_over_time(scenes[0], times)
+    keys = _bounce_keys(scenes[0], [(1, 1), (1, 2), (2, 1), (2, 2)])
+    assert keys and all(_bounce_keys(scene, [(1, 2)]) for scene in scenes)
+    built = sorted((t, i, j, kind) for _, _, t, i, j, kind in tx_half_builds)
+    assert built == sorted((t, *key) for t in times for key in keys)
+    tx_half_builds.clear()
+    acf(scenes, (1, 2, 1), 0.3, 1e8, [0.0, 0.1, 0.2])
+    for scene in scenes:
+        built = sorted((t, i, j, kind) for _, s, t, i, j, kind in tx_half_builds
+                       if s is scene)
+        instants = [0.3, 0.3 + 0.1, 0.3 + 0.2]
+        assert built == sorted((t, *key) for t in instants
+                               for key in _bounce_keys(scene, [(1, 2)]))
+
+
+def test_stfcf_leaves_no_tx_halves_behind(tx_half_builds):
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    before = [dict(vars(scene)) for scene in scenes]
+    acf(scenes, (1, 1, 1), 0.0, 1e8, [0.0, 0.1, 0.2])
+    for scene, kept in zip(scenes, before):
+        assert vars(scene).keys() == kept.keys()
+        assert all(vars(scene)[k] is v for k, v in kept.items())
+        pickle.loads(pickle.dumps(scene))
+    gc.collect()
+    assert tx_half_builds and all(ref() is None for ref, *_ in tx_half_builds)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vlcsim import (
@@ -15,6 +17,7 @@ from vlcsim import (
     LedArray,
     NonPositivePowerError,
     Receiver,
+    TapKind,
     TooFewSamplesError,
     ZeroGainError,
     acf,
@@ -351,3 +354,70 @@ def test_stfcf_evaluates_each_distinct_cir_once(monkeypatch, estimate, calls_per
     estimate(scenes)
     for scene in scenes:
         assert sum(s is scene for s in calls) == calls_per_scene
+
+
+SHARING_CASES = {
+    "static": {},
+    "moving-receiver": {"receiver": {"speed_m_s": 0.6, "travel_azimuth_deg": 90.0}},
+    "drifting-clusters": {
+        "receiver": {"speed_m_s": 0.3},
+        "clusters": {"speed_m_s": 0.4, "travel_azimuth_deg": 30.0},
+    },
+    "rotating-receiver": {"receiver": {"rot_azimuth_deg_s": 45.0, "rot_elevation_deg_s": 20.0}},
+    "one-scatterer-clusters": {
+        "receiver": {"speed_m_s": 0.6},
+        "clusters": {"scatterers_per_cluster": 1},
+    },
+    "element-facing-away": {
+        "array": {"row_azimuth_deg": 270.0},
+        "receiver": {"speed_m_s": 0.6, "travel_elevation_deg": 90.0},
+    },
+}
+
+
+def _lone_products(scenes, link, other_link, t, f, dt_lags, df_lags):
+    """stfcf's products and zero-lag products, rebuilt from one fresh
+    ``cir_snapshot`` per scene, link and instant (through ``transfer``)."""
+    dt, df = (np.ravel(x) for x in np.broadcast_arrays(
+        np.atleast_1d(np.asarray(dt_lags, dtype=float)),
+        np.atleast_1d(np.asarray(df_lags, dtype=float))))
+    products = np.empty((len(scenes), dt.size), dtype=complex)
+    zero = np.empty(len(scenes), dtype=complex)
+    for k, scene in enumerate(scenes):
+        h1 = transfer(scene, link, t, [f])[0]
+        zero[k] = h1 * np.conj(h1)
+        for dt_u in np.unique(dt):
+            sel = dt == dt_u
+            products[k, sel] = h1 * np.conj(transfer(scene, other_link, t + dt_u, f + df[sel]))
+    return products, zero
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.sampled_from(sorted(SHARING_CASES)),
+    start=st.integers(0, 2**31),
+    t=st.sampled_from([0.0, 0.4, 1.5]),
+    dt_lags=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=1, max_size=4),
+    df_lags=st.lists(st.sampled_from([0.0, 5e6, 3e7]), min_size=1, max_size=3),
+)
+def test_stfcf_equals_lone_fresh_calls(case, start, t, dt_lags, df_lags):
+    # snapshots that share layouts or LED-side bounce halves across the
+    # instants of a scene give every product the bits of lone calls
+    cfg = default_config().merged({
+        "array": {"rows": 2, "cols": 2},
+        "evolution": {"birth_rate_per_m": 16.0},
+        "clusters": {"scatterers_per_cluster": 20, "sb_ratio": 0.6},
+    }).merged(SHARING_CASES[case])
+    scenes = [cfg.build_scene(s) for s in (start, start + 1)]
+    if case == "element-facing-away":
+        assert all(int(TapKind.LOS) not in cir_snapshot(1, 2, 1, s, t).kinds for s in scenes)
+    f = 1e8
+    estimates = (
+        (acf(scenes, (1, 2, 1), t, f, dt_lags), ((1, 2, 1), (1, 2, 1), dt_lags, 0.0)),
+        (fcf(scenes, (1, 2, 1), t, f, df_lags), ((1, 2, 1), (1, 2, 1), 0.0, df_lags)),
+        (ccf(scenes, (1, 2, 1), (2, 1, 1), t, f), ((1, 2, 1), (2, 1, 1), 0.0, 0.0)),
+    )
+    for series, (link, other, dt, df) in estimates:
+        products, zero = _lone_products(scenes, link, other, t, f, dt, df)
+        assert np.array_equal(series.products, products)
+        assert np.array_equal(series.zero_lag_products, zero)
