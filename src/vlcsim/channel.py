@@ -417,9 +417,6 @@ class ChannelMatrix:
     def cir(self, i: int, j: int, p: int = 1) -> Cir:
         return self.cirs[(i, j, p)]
 
-    def __iter__(self):
-        return iter(self.cirs.values())
-
 
 def _snapshots(scene: Scene, times, finish_all: bool = False) -> Iterator[SceneSnapshot]:
     """Yields one snapshot of ``scene`` per instant of ``times``, sharing

@@ -21,7 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +246,29 @@ def _validate(tree: dict):
     _num(tree, "ensemble", "threads", lo=1, integer=True)
 
 
+# Tables shared by configs that read equal values, built from bundled
+# data only (a user file could be rewritten between two configs). Keyed
+# by the JSON of those values: JSON keeps 1 apart from 1.0, and the merged
+# tree fixes key order. Bounded, so a long sweep holds at most a few.
+
+def _canonical(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@lru_cache(maxsize=16)
+def _bundled_pattern(section: str):
+    p = json.loads(section)
+    if p["type"] == "lambertian":
+        return optics.LambertianPattern(p["order"])
+    return optics.load_pattern(_DATA_DIR / f"pattern_{p['type']}.csv")
+
+
+@lru_cache(maxsize=16)
+def _bundled_gamma_table(args: str) -> dict[str, float]:
+    # callers get a copy: the cached dict is never handed out
+    return scene.gamma_table(*json.loads(args))
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationConfig:
     """Validated configuration tree plus builders for the domain objects."""
@@ -280,12 +303,12 @@ class SimulationConfig:
         )
 
     def pattern(self):
+        """Emission pattern of ``array.pattern``; shared by every config
+        with the same section, except a user ``file``, read every call."""
         p = self.data["array"]["pattern"]
-        if p["type"] == "lambertian":
-            return optics.LambertianPattern(p["order"])
-        if p["type"] in ("narrow", "batwing"):
-            return optics.load_pattern(_DATA_DIR / f"pattern_{p['type']}.csv")
-        return optics.load_pattern(p["path"])
+        if p["type"] == "file":
+            return optics.load_pattern(p["path"])
+        return _bundled_pattern(_canonical(p))
 
     def receiver(self) -> scene.Receiver:
         r = self.data["receiver"]
@@ -348,11 +371,18 @@ class SimulationConfig:
         return {k: float(v) for k, v in w.items() if v > 0.0}
 
     def gamma_table(self) -> dict[str, float]:
+        """Effective reflectance per material, as a new dict each call.
+
+        Shared by every config with the same LED, wavelength window and
+        material weights, except an LED given as a CSV path: user files
+        are read every call, so a rewritten file is never stale.
+        """
         s = self.data["spectrum"]
-        return scene.gamma_table(
-            s["led"], s["wavelength_lo_nm"], s["wavelength_hi_nm"],
-            self.material_weights(),
-        )
+        args = (s["led"], s["wavelength_lo_nm"], s["wavelength_hi_nm"],
+                self.material_weights())
+        if optics.led_psd_path(s["led"]).parent != _DATA_DIR:
+            return scene.gamma_table(*args)
+        return dict(_bundled_gamma_table(_canonical(args)))
 
     def frequency_grid(self) -> np.ndarray:
         f = self.data["frequency"]

@@ -377,7 +377,7 @@ def _bandwidth_fov(cfg, n_runs):
             cir = cir_snapshot(1, 1, 1, scene, 0.0)
             if cir.powers.size == 0:
                 return float("nan")
-            bw = stats.bandwidth_3db(stats.ctf(cir, freqs))
+            bw = stats.bandwidth_3db(cir, freqs)
             return float("nan") if bw is None else float(bw)
 
         values = ensemble_map(worker, eff.run_seeds(n_runs))

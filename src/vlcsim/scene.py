@@ -339,6 +339,19 @@ def _placement_rotation(azimuth: float, elevation: float) -> np.ndarray:
     return rz @ re
 
 
+def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to ``weights``.
+
+    numpy's own algorithm for ``rng.choice(len(weights), p=weights /
+    weights.sum())``, so the index and the stream position are the same,
+    without that call's argument checks (the weights are validated
+    config values).
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_cluster(
     side: str,
     dist: ClusterDistribution,
@@ -381,7 +394,7 @@ def sample_cluster(
 
     names = list(material_weights)
     weights = np.array([material_weights[k] for k in names], dtype=float)
-    material = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    material = names[_weighted_index(weights, rng)]
 
     m = dist.scatterers_per_cluster
     offsets = rng.standard_normal((m, 3)) * np.array(
@@ -484,18 +497,15 @@ def gamma_table(
     A degenerate wavelength window (lo == hi) means a monochromatic
     source: the reflectance is evaluated pointwise instead of integrated.
     """
-    out = {}
-    for name in material_weights:
-        refl = optics.load_material(name)
-        if wavelength_lo == wavelength_hi:
-            out[name] = float(refl.value_at(wavelength_lo))
-        else:
-            psd = optics.load_led_psd(psd_name)
-            lo = max(wavelength_lo, psd.support[0])
-            hi = min(wavelength_hi, psd.support[1])
-            psd = psd.restricted(lo, hi).normalized()
-            out[name] = optics.effective_reflectance(psd, refl)
-    return out
+    if wavelength_lo == wavelength_hi:
+        return {name: float(optics.load_material(name).value_at(wavelength_lo))
+                for name in material_weights}
+    psd = optics.load_led_psd(psd_name)
+    lo = max(wavelength_lo, psd.support[0])
+    hi = min(wavelength_hi, psd.support[1])
+    psd = psd.restricted(lo, hi).normalized()
+    return {name: optics.effective_reflectance(psd, optics.load_material(name))
+            for name in material_weights}
 
 
 def build_scene(

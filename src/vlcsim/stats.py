@@ -288,28 +288,61 @@ def rms_delay_spread(cir: Cir) -> float:
     return math.sqrt(max(second, 0.0))
 
 
-def bandwidth_3db(transfer_fn: Ctf) -> float | None:
+_SCAN_BLOCK = 128  # grid points per H(f) block of the bandwidth scan
+
+
+def bandwidth_3db(transfer_fn: Ctf | Cir, freqs=None) -> float | None:
     """Smallest frequency where |H(f)|^2 falls to half of |H(0)|^2.
 
-    Scans the stored grid for the first crossing and refines it by
-    bisection to a relative tolerance of 1e-3. None when the magnitude
-    never crosses inside the grid.
+    Takes a :class:`Ctf`, or an impulse response and the frequency grid.
+    Scans the grid in blocks of 128 points for the first crossing and
+    refines it by bisection to a relative tolerance of 1e-3. None when
+    the magnitude never crosses inside the grid. Given a ``Cir``, H(f) is
+    evaluated one block at a time and never past the block that holds
+    the crossing; each block has the bits of the same rows of
+    ``ctf(cir, freqs)``, so the result equals
+    ``bandwidth_3db(ctf(cir, freqs))`` exactly.
     """
-    mag2 = transfer_fn.magnitude ** 2
-    h0 = abs(transfer_fn.value_at(0.0)) ** 2
+    if isinstance(transfer_fn, Ctf):
+        if freqs is not None:
+            raise TypeError("a Ctf carries its own frequency grid")
+        powers, delays = transfer_fn.tap_powers, transfer_fn.tap_delays
+        freqs = transfer_fn.freqs
+        mag2 = transfer_fn.magnitude ** 2
+
+        def block(a: int, b: int) -> np.ndarray:
+            return mag2[a:b]
+    else:
+        if freqs is None:
+            raise TypeError("an impulse response needs the frequency grid")
+        if transfer_fn.powers.size == 0:
+            raise EmptyCirError("impulse response has no taps")
+        powers, delays = transfer_fn.powers, transfer_fn.delays
+        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+
+        def block(a: int, b: int) -> np.ndarray:
+            return np.abs(_response(powers, delays, freqs[a:b])) ** 2
+
+    def gain2(freq: float) -> float:
+        return abs(_response(powers, delays, np.atleast_1d(freq))[0]) ** 2
+
+    h0 = gain2(0.0)
     if h0 <= 0.0:
         raise ZeroGainError("bandwidth needs a positive DC response")
     target = 0.5 * h0
-    below = np.flatnonzero(mag2 <= target)
-    if below.size == 0:
+    for start in range(0, freqs.size, _SCAN_BLOCK):
+        below = np.flatnonzero(block(start, start + _SCAN_BLOCK) <= target)
+        if below.size:
+            k = start + below[0]
+            break
+    else:
         return None
-    k = below[0]
     if k == 0:
-        return float(transfer_fn.freqs[0])
-    lo, hi = float(transfer_fn.freqs[k - 1]), float(transfer_fn.freqs[k])
+        return float(freqs[0])
+    lo, hi = float(freqs[k - 1]), float(freqs[k])
     while hi - lo > 1e-3 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if abs(transfer_fn.value_at(mid)) ** 2 <= target:
+        if gain2(mid) <= target:
             hi = mid
         else:
             lo = mid

@@ -439,7 +439,7 @@ def test_scene_without_clusters_is_line_of_sight_only():
     # boresight link, 2 m: (1/pi) * 1e-4 / 4
     assert cir.dc_gain == pytest.approx(1e-4 / (4.0 * math.pi), abs=1e-10)
     for matrix in channel_over_time(scene, [0.0, 1.0]):
-        for one in matrix:
+        for one in matrix.cirs.values():
             assert np.all(one.kinds == int(TapKind.LOS))
             assert one.powers.size <= 1
 
@@ -708,7 +708,7 @@ def test_channel_over_time_hands_out_each_cir_once(monkeypatch):
     mats = channel_over_time(scene, times)
     keys = [(c.time, c.element, c.pd) for c in handed]
     assert len(keys) == len(set(keys)) == len(times) * 2 * 2 * 3
-    assert [id(c) for m in mats for c in m] == [id(c) for c in handed]
+    assert [id(c) for m in mats for c in m.cirs.values()] == [id(c) for c in handed]
 
 
 BATCH_CASES = {

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from vlcsim import (
@@ -11,6 +12,7 @@ from vlcsim import (
     config_hash,
     default_config,
     load_config,
+    load_pattern,
     loads_config,
     save_config,
 )
@@ -161,6 +163,55 @@ def test_pattern_builders():
         }
     )
     assert isinstance(from_file.pattern(), TabulatedPattern)
+
+
+def test_equal_pattern_sections_share_one_pattern():
+    cfg = default_config().merged({"array": {"pattern": {"type": "narrow"}}})
+    same = cfg.merged({"receiver": {"fov_deg": 60.0}})
+    assert same.pattern() is cfg.pattern()
+    lam = default_config().merged({"array": {"pattern": {"order": 3.0}}})
+    assert lam.pattern() is lam.merged({"array": {"rows": 2}}).pattern()
+    other_order = lam.merged({"array": {"pattern": {"order": 4.0}}}).pattern()
+    assert other_order is not lam.pattern() and other_order.order == 4.0
+    other_type = cfg.merged({"array": {"pattern": {"type": "batwing"}}}).pattern()
+    assert other_type is not cfg.pattern()
+    assert not np.array_equal(other_type.values, cfg.pattern().values)
+
+
+def test_gamma_table_is_a_fresh_dict_per_call():
+    cfg = default_config()
+    table = cfg.gamma_table()
+    expected = dict(table)
+    table["plaster"] = -1.0
+    table["marble"] = 0.5
+    assert cfg.merged({"receiver": {"fov_deg": 60.0}}).gamma_table() == expected
+
+
+def _rewrite(path, source):
+    path.write_text(source.read_text())
+
+
+def test_rewritten_pattern_file_gives_the_new_table(tmp_path):
+    path = tmp_path / "pattern.csv"
+    _rewrite(path, _DATA_DIR / "pattern_narrow.csv")
+    cfg = default_config().merged(
+        {"array": {"pattern": {"type": "file", "path": str(path)}}})
+    first = cfg.pattern()
+    _rewrite(path, _DATA_DIR / "pattern_batwing.csv")
+    second = cfg.merged({"receiver": {"fov_deg": 60.0}}).pattern()
+    assert np.array_equal(first.values, load_pattern(_DATA_DIR / "pattern_narrow.csv").values)
+    assert np.array_equal(second.values, load_pattern(_DATA_DIR / "pattern_batwing.csv").values)
+
+
+def test_rewritten_led_file_gives_the_new_gamma_table(tmp_path):
+    path = tmp_path / "led.csv"
+    _rewrite(path, _DATA_DIR / "led_white.csv")
+    cfg = default_config().merged({"spectrum": {"led": str(path)}})
+    assert cfg.gamma_table() == default_config().gamma_table()
+    _rewrite(path, _DATA_DIR / "led_red.csv")
+    red = default_config().merged({"spectrum": {"led": "red"}}).gamma_table()
+    assert cfg.merged({"receiver": {"fov_deg": 60.0}}).gamma_table() == red
+    assert red != default_config().gamma_table()
 
 
 def test_material_weights_drop_zero_entries():

@@ -23,6 +23,7 @@ from vlcsim import (
 )
 from vlcsim.geometry import AnglePair, sph_to_cart
 from vlcsim.scene import (
+    _weighted_index,
     assign_bounce,
     evolve_visibility,
     sample_cluster,
@@ -184,6 +185,19 @@ def test_sample_cluster_reproducible():
         "rx", dist, np.zeros(3), 1.0, gamma, weights, np.random.default_rng(9))
     assert a_az == b_az and a_dist == b_dist
     assert np.array_equal(a_scat, b_scat)
+
+
+def test_material_draw_matches_rng_choice():
+    # same index and same stream position as numpy's choice, over many
+    # seeds and weight vectors, the default four-material mix among them
+    mix = np.array([0.3, 0.2, 0.4, 0.1])
+    for seed in range(2000):
+        weights = mix if seed % 4 == 0 else np.random.default_rng(-seed - 1 + 2**32).uniform(
+            0.0, 1.0, 1 + seed % 6)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        index = _weighted_index(weights, ours)
+        assert index == numpys.choice(weights.size, p=weights / weights.sum())
+        assert ours.random() == numpys.random()
 
 
 def test_cluster_velocity_moves_snapshots():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import vlcsim.stats
 from vlcsim import (
     Cir,
     ClusterDistribution,
@@ -112,17 +113,93 @@ def test_bandwidth_two_tap_analytic():
     freqs = np.linspace(0.0, 2e8, 4096)
     bw = bandwidth_3db(ctf(cir, freqs))
     assert bw == pytest.approx(1.0 / (4.0 * tau), rel=2e-3)
+    assert bandwidth_3db(cir, freqs) == bw
 
 
 def test_bandwidth_flat_response_is_none():
     cir = make_cir([1e-6], [1e-9])
     assert bandwidth_3db(ctf(cir, np.linspace(0.0, 2e8, 64))) is None
+    assert bandwidth_3db(cir, np.linspace(0.0, 2e8, 64)) is None
 
 
 def test_bandwidth_needs_dc_power():
     cir = make_cir([0.0], [1e-9])
     with pytest.raises(ZeroGainError):
         bandwidth_3db(ctf(cir, np.linspace(0.0, 1e8, 16)))
+    with pytest.raises(ZeroGainError):
+        bandwidth_3db(cir, np.linspace(0.0, 1e8, 16))
+
+
+def _crossing_cir(rng):
+    """Two equal leading taps (they cross near 1 / (4 tau)) plus weak echoes."""
+    tau = rng.uniform(2e-9, 20e-9)
+    n = int(rng.integers(0, 30))
+    powers = np.concatenate([[1e-6, 1e-6], rng.uniform(0.0, 5e-8, n)])
+    delays = np.concatenate([[1e-12, tau], rng.uniform(0.0, 60e-9, n)])
+    return make_cir(powers, delays)
+
+
+def _first_below(cir, freqs):
+    mag2 = ctf(cir, freqs).magnitude ** 2
+    below = np.flatnonzero(mag2 <= 0.5 * abs(ctf(cir, [0.0]).values[0]) ** 2)
+    return int(below[0]) if below.size else None
+
+
+# where the first grid point at or below half the DC power lies
+CROSSINGS = {
+    "index 0": range(0, 1),
+    "first block": range(1, 128),
+    "last block": range(1920, 2048),
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("case", list(CROSSINGS))
+def test_bandwidth_block_scan_equals_the_full_grid(monkeypatch, case):
+    rows = []
+    response = vlcsim.stats._response
+
+    def counted(powers, delays, freqs):
+        rows.append(freqs.size)
+        return response(powers, delays, freqs)
+
+    rng = np.random.default_rng(list(CROSSINGS).index(case))
+    fine = np.linspace(0.0, 1e9, 20001)
+    for _ in range(25):
+        cir = _crossing_cir(rng)
+        if case == "index 0":
+            # start the grid on a fine-grid point already past the crossing
+            start = fine[_first_below(cir, fine)]
+            freqs = np.linspace(start, start + 1e8, 2048)
+        else:
+            f3 = bandwidth_3db(ctf(cir, fine))
+            stop = {"first block": f3 * 2047 / 60.5, "last block": f3 * 2047 / 2000.5,
+                    "none": 0.9 * f3}[case]
+            freqs = np.linspace(0.0, stop, 2048)
+        k = _first_below(cir, freqs)
+        assert k is None if CROSSINGS[case] is None else k in CROSSINGS[case]
+
+        monkeypatch.setattr(vlcsim.stats, "_response", counted)
+        rows.clear()
+        got = bandwidth_3db(cir, freqs)
+        monkeypatch.setattr(vlcsim.stats, "_response", response)
+        want = bandwidth_3db(ctf(cir, freqs))
+        assert got == want
+        assert (got is None) == (case == "none")
+        # H(f) is evaluated in blocks of 128 rows and never past the crossing
+        blocks = [r for r in rows if r > 1]
+        assert max(blocks) <= 128
+        assert sum(blocks) == (2048 if k is None else min(2048, (k // 128 + 1) * 128))
+
+
+def test_bandwidth_from_a_cir_needs_a_grid_and_taps():
+    cir = make_cir([1e-6], [1e-9])
+    with pytest.raises(TypeError):
+        bandwidth_3db(cir)
+    with pytest.raises(TypeError):
+        bandwidth_3db(ctf(cir, [0.0, 1e8]), [0.0, 1e8])
+    with pytest.raises(EmptyCirError):
+        bandwidth_3db(make_cir([], []), [0.0, 1e8])
 
 
 def _lonely_scene():
