@@ -139,3 +139,52 @@ def moment_rms(powers, delays):
     mean = math.fsum(p * d for p, d in zip(powers, delays)) / total
     second = math.fsum(p * (d - mean) ** 2 for p, d in zip(powers, delays))
     return math.sqrt(second / total)
+
+
+def cluster_row(az_mean, az_std, el_mean, el_std, sigmas, m, anchor,
+                distance_mean, gamma_by_material, material_weights, rng):
+    """One cluster row drawn the long way, in the draw order of the
+    reference algorithm: (azimuth, elevation, distance) redrawn while the
+    center sits on the LoS axis, then the material, then the (m, 3)
+    scatterer offsets.
+
+    Returns (scatterers, normal, reflectance, material, azimuth,
+    elevation, distance). The arithmetic is spelled out operation by
+    operation (numpy ufuncs where the reference uses them), so the bits
+    are comparable, not just the values.
+    """
+    two_pi = 2.0 * math.pi
+    for _ in range(100):
+        azimuth = float(np.mod(az_mean + az_std * rng.standard_normal(), two_pi))
+        elevation = float(
+            np.mod(el_mean + el_std * rng.standard_normal() + math.pi, two_pi) - math.pi)
+        distance = float(rng.exponential(distance_mean))
+        cy = distance * math.cos(elevation) * math.sin(azimuth)
+        cz = distance * math.sin(elevation)
+        d_tmp = distance * math.cos(azimuth) * math.cos(elevation)
+        if math.hypot(cy, cz) >= 1e-12:
+            break
+    else:
+        raise RuntimeError("center stayed on the LoS axis")
+    residue = d_tmp - distance * math.cos(elevation) * math.cos(azimuth)
+    beta_a = np.asarray(np.mod(two_pi - math.atan2(cy, residue), two_pi), dtype=float)
+    beta_e = np.asarray(-math.atan2(cz, abs(cy)), dtype=float)
+    normal = np.stack([np.cos(beta_e) * np.cos(beta_a),
+                       np.cos(beta_e) * np.sin(beta_a),
+                       np.sin(beta_e)], axis=-1)
+
+    names = list(material_weights)
+    weights = np.array([material_weights[k] for k in names], dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    material = names[int(cdf.searchsorted(rng.random(), side="right"))]
+
+    offsets = rng.standard_normal((m, 3)) * np.array(sigmas)
+    local = offsets + np.array([distance, 0.0, 0.0])
+    ca, sa = math.cos(azimuth), math.sin(azimuth)
+    ce, se = math.cos(elevation), math.sin(elevation)
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    re = np.array([[ce, 0.0, -se], [0.0, 1.0, 0.0], [se, 0.0, ce]])
+    scatterers = np.asarray(anchor) + local @ (rz @ re).T
+    return (scatterers, normal, gamma_by_material[material], material,
+            azimuth, elevation, distance)

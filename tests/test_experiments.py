@@ -259,6 +259,17 @@ def test_cli_reports_failures_during_a_run_as_runtime_errors(tmp_path, capsys,
     assert not (tmp_path / "rms-adr.csv").exists()
 
 
+def test_cli_reports_on_axis_cluster_centers_as_a_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "on-axis.yaml"
+    cfg.write_text("clusters:\n  tx_azimuth_std_deg: 0\n  tx_elevation_std_deg: 0\n")
+    out = tmp_path / "out"
+    assert main(["--experiment", "rms-adr", "--ensemble", "2", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "DegenerateNormalError: could not draw an off-axis cluster center" in err
+    assert not out.exists()
+
+
 def test_cli_runs_and_writes(tmp_path, capsys):
     code = main(
         [
