@@ -301,9 +301,21 @@ def cluster_equivalent_normal(
     angles are measured against a surface facing the link. Raises
     DegenerateNormalError for centers on the axis.
     """
-    cy = distance * math.cos(elevation) * math.sin(azimuth)
-    cz = distance * math.sin(elevation)
-    d_tmp = distance * math.cos(azimuth) * math.cos(elevation)
+    return _equivalent_normal(
+        distance, math.cos(azimuth), math.sin(azimuth),
+        math.cos(elevation), math.sin(elevation),
+    )
+
+
+def _equivalent_normal(
+    distance: float, ca: float, sa: float, ce: float, se: float
+) -> np.ndarray:
+    """:func:`cluster_equivalent_normal` from the cosines and sines of the
+    center's azimuth (``ca``, ``sa``) and elevation (``ce``, ``se``), for
+    callers that reuse them."""
+    cy = distance * ce * sa
+    cz = distance * se
+    d_tmp = distance * ca * ce
     if math.hypot(cy, cz) < 1e-12:
         raise DegenerateNormalError("cluster center lies on the LoS axis")
     # The second atan2 argument is zero in exact arithmetic but not in
@@ -312,9 +324,9 @@ def cluster_equivalent_normal(
     # distribution it was nonzero in ~35%, changed the atan2 result in
     # ~28% and the returned normal's bits in ~11%. Replacing it by 0.0
     # changes output bytes, so it stays until a deliberate re-baseline.
-    beta_a = wrap_azimuth(
-        TWO_PI
-        - math.atan2(cy, d_tmp - distance * math.cos(elevation) * math.cos(azimuth))
-    )
+    beta_a = (TWO_PI - math.atan2(cy, d_tmp - distance * ce * ca)) % TWO_PI
     beta_e = -math.atan2(cz, abs(cy))
-    return direction(beta_a, beta_e)
+    # the ufuncs of direction(), so the bits match it whatever libm numpy uses
+    cos_a, cos_e = np.cos((beta_a, beta_e)).tolist()
+    sin_a, sin_e = np.sin((beta_a, beta_e)).tolist()
+    return np.array([cos_e * cos_a, cos_e * sin_a, sin_e])

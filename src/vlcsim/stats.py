@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as spstats
@@ -42,6 +43,7 @@ __all__ = [
     "rms_delay_spread",
     "shadowing_stats",
     "stfcf",
+    "stfcf_many",
     "transfer",
 ]
 
@@ -67,9 +69,6 @@ class Ctf:
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def value_at(self, freq) -> complex:
-        return _response(self.tap_powers, self.tap_delays, np.atleast_1d(freq))[0]
 
 
 def _response(powers: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -184,55 +183,98 @@ def stfcf(
     those instants: for a receiver moving past static clusters, the
     LED-side half of every bounce leg is built once per scene and call.
     Every CIR has the bits of a lone ``cir_snapshot(..., scene, t + dt)``.
+    This is the one-request case of :func:`stfcf_many`, which shares all
+    of that across several estimates of one ensemble.
     """
-    scenes = _check_ensemble(scenes)
+    return stfcf_many(scenes, [(link, other_link, t, f, dt_lags, df_lags)])[0]
+
+
+class _Request(NamedTuple):
+    """One stfcf request, with its lag axis split by distinct time lag:
+    ``groups`` holds (instant ``t + dt``, lag mask, frequencies) per
+    distinct ``dt``, in increasing order."""
+
+    link: tuple[int, int, int]
+    other_link: tuple[int, int, int]
+    t: float
+    f: float
+    dt: np.ndarray
+    df: np.ndarray
+    groups: list
+
+
+def _request(link, other_link, t, f, dt_lags, df_lags) -> _Request:
     dt_arr, df_arr = np.broadcast_arrays(
         np.atleast_1d(np.asarray(dt_lags, dtype=float)),
         np.atleast_1d(np.asarray(df_lags, dtype=float)),
     )
     dt_arr = dt_arr.ravel()
     df_arr = df_arr.ravel()
-    n_lags = dt_arr.size
+    groups = []
+    for dt_u in np.unique(dt_arr):
+        sel = dt_arr == dt_u
+        groups.append((t + dt_u, sel, f + df_arr[sel]))
+    return _Request(tuple(link), tuple(other_link), t, f, dt_arr, df_arr, groups)
+
+
+def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
+    """Several space-time-frequency correlations over one ensemble.
+
+    Each request is the argument tuple ``(link, other_link, t, f,
+    dt_lags, df_lags)`` of :func:`stfcf`; the series returned for it
+    equals that call's, field for field. Per scene, one pass over the
+    distinct instants of all requests evaluates each distinct (link,
+    instant) CIR once, on snapshots that follow :func:`stfcf`'s sharing
+    rule, so for a receiver moving past static clusters each LED-side
+    half is built once per scene for all requests. Only the current
+    instant's snapshot and the scene's H values are kept while it runs.
+    """
+    scenes = _check_ensemble(scenes)
+    plans = [_request(*request) for request in requests]
+    # instant -> link -> [(request, lag group, or None for the anchor)]
+    uses: dict[float, dict[tuple, list]] = {}
+    for r, plan in enumerate(plans):
+        uses.setdefault(plan.t, {}).setdefault(plan.link, []).append((r, None))
+        for g, (t2, _, _) in enumerate(plan.groups):
+            uses.setdefault(t2, {}).setdefault(plan.other_link, []).append((r, g))
+
     n = len(scenes)
-
-    products = np.empty((n, n_lags), dtype=complex)
-    zero_products = np.empty(n, dtype=complex)
-
-    f_arr = np.array([f], dtype=float)
-    same_link = tuple(other_link) == tuple(link)
-    dt_unique = np.unique(dt_arr)
-    lagged = [t + dt_u for dt_u in dt_unique]
+    products = [np.empty((n, plan.dt.size), dtype=complex) for plan in plans]
+    zero_products = [np.empty(n, dtype=complex) for _ in plans]
     for k, scene in enumerate(scenes):
-        snapshots = _snapshots(scene, [t, *lagged])
-        cir1 = cir_snapshot(link[0], link[1], link[2], scene, t, snapshot=next(snapshots))
-        h1 = _response(cir1.powers, cir1.delays, f_arr)[0]
-        zero_products[k] = h1 * np.conj(h1)
+        h1 = [None] * len(plans)
+        h2 = [[None] * len(plan.groups) for plan in plans]
+        for t2, snapshot in zip(uses, _snapshots(scene, list(uses))):
+            for (i, j, p), consumers in uses[t2].items():
+                cir = cir_snapshot(i, j, p, scene, t2, snapshot=snapshot)
+                for r, g in consumers:
+                    if g is None:
+                        f_arr = np.array([plans[r].f], dtype=float)
+                        h1[r] = _response(cir.powers, cir.delays, f_arr)[0]
+                    else:
+                        h2[r][g] = _response(cir.powers, cir.delays, plans[r].groups[g][2])
+        for r, plan in enumerate(plans):
+            zero_products[r][k] = h1[r] * np.conj(h1[r])
+            for (_, sel, _), h in zip(plan.groups, h2[r]):
+                products[r][k, sel] = h1[r] * np.conj(h)
 
-        for dt_u, t2, snapshot in zip(dt_unique, lagged, snapshots):
-            sel = dt_arr == dt_u
-            freqs = f + df_arr[sel]
-            if same_link and dt_u == 0.0:
-                cir2 = cir1
-            else:
-                i2, j2, p2 = other_link
-                cir2 = cir_snapshot(i2, j2, p2, scene, t2, snapshot=snapshot)
-            h2 = _response(cir2.powers, cir2.delays, freqs)
-            products[k, sel] = h1 * np.conj(h2)
-
-    return CorrelationSeries(
-        dt=dt_arr,
-        df=df_arr,
-        values=products.mean(axis=0),
-        standard_error=_complex_sem(products),
-        products=products,
-        zero_lag=float(zero_products.mean().real),
-        zero_lag_products=zero_products,
-        link=tuple(link),
-        other_link=tuple(other_link),
-        t=t,
-        f=f,
-        n_runs=n,
-    )
+    return [
+        CorrelationSeries(
+            dt=plan.dt,
+            df=plan.df,
+            values=prod.mean(axis=0),
+            standard_error=_complex_sem(prod),
+            products=prod,
+            zero_lag=float(zero.mean().real),
+            zero_lag_products=zero,
+            link=plan.link,
+            other_link=plan.other_link,
+            t=plan.t,
+            f=plan.f,
+            n_runs=n,
+        )
+        for plan, prod, zero in zip(plans, products, zero_products)
+    ]
 
 
 def acf(scenes, link, t, f, dt_lags) -> CorrelationSeries:

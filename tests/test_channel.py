@@ -26,6 +26,7 @@ from vlcsim import (
     channel_over_time,
     cir_snapshot,
     default_config,
+    stfcf_many,
     transfer,
 )
 from vlcsim.geometry import ArrayOrientation, direction
@@ -664,6 +665,32 @@ def test_stfcf_leaves_no_tx_halves_behind(tx_half_builds):
     scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
     before = [dict(vars(scene)) for scene in scenes]
     acf(scenes, (1, 1, 1), 0.0, 1e8, [0.0, 0.1, 0.2])
+    for scene, kept in zip(scenes, before):
+        assert vars(scene).keys() == kept.keys()
+        assert all(vars(scene)[k] is v for k, v in kept.items())
+        pickle.loads(pickle.dumps(scene))
+    gc.collect()
+    assert tx_half_builds and all(ref() is None for ref, *_ in tx_half_builds)
+
+
+def test_one_stfcf_many_call_builds_each_tx_half_once_per_scene(tx_half_builds):
+    # acf-time's three anchors in one call: the receiver moves past static
+    # clusters, so every instant of a scene reuses its LED-side halves
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    assert all(_bounce_keys(scene, [(1, 1)]) for scene in scenes)
+    stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), anchor, 1e8, [0.0, 0.1, 0.2], 0.0)
+                        for anchor in (0.0, 1.0, 2.0)])
+    for scene in scenes:
+        built = sorted((i, j, kind) for _, s, _, i, j, kind in tx_half_builds if s is scene)
+        assert built == sorted(_bounce_keys(scene, [(1, 1)]))
+
+
+def test_stfcf_many_leaves_nothing_behind(tx_half_builds):
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    before = [dict(vars(scene)) for scene in scenes]
+    stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), 0.0, 1e8, [0.0, 0.1], 0.0),
+                        ((1, 1, 1), (1, 1, 1), 1.0, 1e8, [0.0, 0.1], 0.0),
+                        ((1, 1, 1), (2, 2, 1), 0.0, 1e8, 0.0, 0.0)])
     for scene, kept in zip(scenes, before):
         assert vars(scene).keys() == kept.keys()
         assert all(vars(scene)[k] is v for k, v in kept.items())

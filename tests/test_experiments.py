@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import vlcsim
 from vlcsim import (
     PRESETS,
     ConfigValidationError,
@@ -188,6 +193,15 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     for name in PRESETS:
         assert name in out
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(vlcsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "vlcsim", "--list"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ccf-space: " in proc.stdout
 
 
 def test_cli_requires_experiment():

@@ -36,6 +36,7 @@ from vlcsim import (
     rms_delay_spread,
     shadowing_stats,
     stfcf,
+    stfcf_many,
     transfer,
 )
 from vlcsim.scene import Scene
@@ -91,7 +92,7 @@ def test_ctf_single_tap_phasor():
     want = p * np.exp(-2j * math.pi * freqs * tau)
     assert np.allclose(h.values, want, rtol=1e-12)
     assert np.allclose(h.magnitude, p, rtol=1e-12)
-    assert h.value_at(3.3e7) == pytest.approx(
+    assert ctf(cir, [3.3e7]).values[0] == pytest.approx(
         p * np.exp(-2j * math.pi * 3.3e7 * tau), rel=1e-12
     )
     with pytest.raises(EmptyCirError):
@@ -498,3 +499,65 @@ def test_stfcf_equals_lone_fresh_calls(case, start, t, dt_lags, df_lags):
         products, zero = _lone_products(scenes, link, other, t, f, dt, df)
         assert np.array_equal(series.products, products)
         assert np.array_equal(series.zero_lag_products, zero)
+
+
+SERIES_FIELDS = ("dt", "df", "values", "standard_error", "products", "zero_lag",
+                 "zero_lag_products", "link", "other_link", "t", "f", "n_runs")
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from(["static", "moving-receiver", "drifting-clusters"]),
+    start=st.integers(0, 2**31),
+    t=st.sampled_from([0.0, 0.4]),
+)
+def test_stfcf_many_equals_separate_stfcf_calls(case, start, t):
+    # the requests share links, anchors and instants (t + 0.1 is a lag of
+    # the first and the anchor of the fourth), and each series keeps the
+    # shape and the bits of its own call
+    cfg = default_config().merged({
+        "array": {"rows": 2, "cols": 2},
+        "evolution": {"birth_rate_per_m": 16.0},
+        "clusters": {"scatterers_per_cluster": 20, "sb_ratio": 0.6},
+    }).merged(SHARING_CASES[case])
+    scenes = [cfg.build_scene(s) for s in (start, start + 1, start + 2)]
+    requests = [
+        ((1, 2, 1), (1, 2, 1), t, 1e8, [0.0, 0.05, 0.1, 0.05], 0.0),
+        ((1, 2, 1), (1, 2, 1), t, 1e8, 0.0, [0.0, 5e6, 3e7]),
+        ((1, 2, 1), (2, 1, 1), t, 1e8, 0.0, 0.0),
+        ((2, 1, 1), (1, 2, 1), t + 0.1, 2e7, [-0.1, 0.0, 0.2], [0.0, 1e7, 0.0]),
+        ((1, 1, 1), (2, 2, 1), t, 0.0, [0.0], [0.0]),
+    ]
+    many = stfcf_many(scenes, requests)
+    assert len(many) == len(requests)
+    for got, request in zip(many, requests):
+        want = stfcf(scenes, *request)
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.products.shape == want.products.shape
+        assert got.zero_lag_products.shape == want.zero_lag_products.shape
+    assert stfcf_many(scenes, []) == []
+
+
+def test_stfcf_many_evaluates_each_distinct_cir_once_per_scene(monkeypatch):
+    # the eight requests of ccf-space name four distinct (link, instant)
+    # pairs per scene
+    cfg = default_config().merged({
+        "array": {"rows": 4, "cols": 4},
+        "evolution": {"birth_rate_per_m": 8.0},
+        "clusters": {"scatterers_per_cluster": 4},
+    })
+    scenes = [cfg.build_scene(s) for s in (100, 101, 102)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[:3], args[3], args[4]))
+        return cir_snapshot(*args, **kwargs)
+
+    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", counted)
+    requests = [((ri, rj, 1), (k, k, 1), 0.0, 0.0, 0.0, 0.0)
+                for ri, rj in ((1, 1), (4, 4)) for k in range(1, 5)]
+    stfcf_many(scenes, requests)
+    for scene in scenes:
+        mine = [(link, t) for link, s, t in calls if s is scene]
+        assert sorted(mine) == [((k, k, 1), 0.0) for k in range(1, 5)]
