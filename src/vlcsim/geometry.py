@@ -26,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "AnglePair",
     "ArrayOrientation",
-    "angle_between",
     "cart_to_sph",
     "cluster_equivalent_normal",
     "direction",
@@ -94,22 +93,29 @@ def cart_to_sph(v) -> tuple[AnglePair, float]:
     return AnglePair(az, el), r
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of a (3, ...) stack, one row per coordinate, in the bits
+    of ``np.linalg.norm(axis=-1)`` over (..., 3) rows:
+    ``sqrt((x*x + y*y) + z*z)``, at a fraction of its cost."""
+    x, y, z = v
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of two (3, ...) stacks, one row per coordinate, in
+    the bits of ``np.einsum("ij,ij->i")`` over (n, 3) rows, which sums
+    ``(a0*b0 + a2*b2) + a1*b1``."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
 def sph_angles(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized cart_to_sph for an (..., 3) stack; returns (az, el, r)."""
     vecs = np.asarray(vecs, dtype=float)
-    r = np.linalg.norm(vecs, axis=-1)
+    r = _norms(vecs.T).T
     safe = np.where(r > 0.0, r, 1.0)
     az = wrap_azimuth(np.arctan2(vecs[..., 1], vecs[..., 0]))
     el = np.arcsin(np.clip(vecs[..., 2] / safe, -1.0, 1.0))
     return az, el, r
-
-
-def angle_between(a: AnglePair, b: AnglePair) -> float:
-    """Great-circle angle between two directions given as angle pairs."""
-    c = math.cos(a.elevation) * math.cos(b.elevation) * math.cos(
-        a.azimuth - b.azimuth
-    ) + math.sin(a.elevation) * math.sin(b.elevation)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 # === transition matrices ===

@@ -36,7 +36,6 @@ __all__ = [
     "SpectralCurve",
     "TabulatedPattern",
     "concentrator_gain",
-    "diffuse_reflection",
     "effective_reflectance",
     "hemisphere_integral",
     "lambertian_intensity",
@@ -207,15 +206,6 @@ def concentrator_gain(optics: RxOptics, psi):
         clamped = np.maximum(psi, math.radians(1.0))
         gain = optics.refractive_index**2 / np.sin(clamped) ** 2
     out = np.where(inside, gain, 0.0)
-    return out if out.ndim else float(out)
-
-
-def diffuse_reflection(psi):
-    """Diffuse re-emission gain cos(psi)/pi for psi in [0, pi/2]."""
-    psi_arr = np.asarray(psi, dtype=float)
-    if np.any(psi_arr < -1e-12) or np.any(psi_arr > math.pi / 2 + 1e-12):
-        raise OutOfRangeError("reflection angle must lie in [0, pi/2]")
-    out = np.cos(np.clip(psi_arr, 0.0, math.pi / 2)) / math.pi
     return out if out.ndim else float(out)
 
 

@@ -109,9 +109,14 @@ class Receiver:
     def initial_position(self) -> np.ndarray:
         return np.array([self.distance, 0.0, 0.0])
 
-    def position_at(self, t: float) -> np.ndarray:
-        step = self.speed * t * geometry.direction(self.travel_azimuth, self.travel_elevation)
-        return self.initial_position + step
+    @cached_property
+    def heading(self) -> np.ndarray:
+        """Unit vector of the travel direction."""
+        return geometry.direction(self.travel_azimuth, self.travel_elevation)
+
+    def position_at(self, t) -> np.ndarray:
+        """Position at time ``t``, or one row per time of a 1-D array ``t``."""
+        return self.initial_position + np.multiply.outer(self.speed * np.asarray(t), self.heading)
 
     def pd_normals(self, t: float) -> list[np.ndarray]:
         return geometry.pd_normals(
@@ -447,37 +452,70 @@ def _draw_cluster(
 
 # === the scene ===
 
+@dataclass(eq=False)
+class _Block:
+    """What the snapshots of some instants of one scene share while
+    :func:`vlcsim.channel.cir_snapshot` evaluates them; see
+    :func:`vlcsim.channel._snapshots` for who shares one.
+
+    ``times`` holds the instants, a snapshot's ``_position`` indexes
+    them. ``finish_all`` makes a call finish every element of its
+    instants, not just its own; a scope is ``(i, j)`` for a call's own
+    element, or None for every element. ``wanted`` maps ``(scope, p)``
+    to the positions whose calls will ask for that finish, so the first
+    of them evaluates them all in one stacked pass. ``tx_halves`` maps
+    ``(i, j, kind)`` to the LED-side half of a bounce leg under the
+    scene's own mask, or is None where no other layout will need a half
+    again. ``layouts`` maps ``(scope, positions)`` to a ray layout and
+    ``finished`` maps ``(scope, p, position)`` to the finish that holds
+    that instant's taps.
+    """
+
+    scene: "Scene"
+    times: tuple
+    wanted: dict = field(default_factory=dict)
+    finish_all: bool = False
+    tx_halves: dict | None = None
+    layouts: dict = field(default_factory=dict)
+    finished: dict = field(default_factory=dict)
+
+    @cached_property
+    def rx_positions(self) -> np.ndarray:
+        return self.scene.receiver.position_at(np.array(self.times))
+
+    @cached_property
+    def pd_normals(self) -> list[list[np.ndarray]]:
+        return [self.scene.receiver.pd_normals(t) for t in self.times]
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSnapshot:
     """The receiver position and detector normals of a scene at one instant.
 
-    ``_layouts`` maps element tuples to the ray layouts that
-    :func:`vlcsim.channel.cir_snapshot` builds under the scene's own
-    mask; :meth:`Scene.at` gives each snapshot its own. ``_finished``
-    is None unless :func:`vlcsim.channel.channel_over_time` evaluates
-    every sub-channel of the instant: then it holds, per detector, the
-    one finish that serves all elements, and each call reads its share.
-    A snapshot without it finishes only the element of each call.
-    ``_tx_halves`` is None unless the snapshots of one
-    ``channel_over_time`` or :func:`vlcsim.stats.stfcf` call share it:
-    a scene whose receiver moves past static clusters. It maps
-    ``(i, j, kind)`` to the LED-side half of that bounce leg under the
-    scene's own mask, the same at every instant.
+    ``_block`` holds what :func:`vlcsim.channel.cir_snapshot` builds for
+    it and shares with the snapshots of other instants (see
+    :class:`_Block`); ``_position`` is its instant's index there.
+    :meth:`Scene.at` gives each snapshot a block of its own instant, so
+    calls that share the snapshot share its ray layouts, for example
+    the detectors of an angle-diversity head.
     """
 
     scene: "Scene"
     time: float
-    _layouts: dict = field(default_factory=dict, repr=False)
-    _finished: dict | None = field(default=None, repr=False)
-    _tx_halves: dict | None = field(default=None, repr=False)
+    _block: _Block | None = field(default=None, repr=False)
+    _position: int = field(default=0, repr=False)
 
-    @cached_property
+    def __post_init__(self):
+        if self._block is None:
+            object.__setattr__(self, "_block", _Block(self.scene, (self.time,)))
+
+    @property
     def rx_position(self) -> np.ndarray:
-        return self.scene.receiver.position_at(self.time)
+        return self._block.rx_positions[self._position]
 
-    @cached_property
+    @property
     def pd_normals(self) -> list[np.ndarray]:
-        return self.scene.receiver.pd_normals(self.time)
+        return self._block.pd_normals[self._position]
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,8 +181,11 @@ def stfcf(
     axis. Each scene's CIRs at the anchor ``t`` and at each distinct
     ``t + dt`` come from snapshots that share what stays the same across
     those instants: for a receiver moving past static clusters, the
-    LED-side half of every bounce leg is built once per scene and call.
+    LED-side half of every bounce leg is built once per scene and call,
+    and blocks of consecutive instants are evaluated in stacked passes.
     Every CIR has the bits of a lone ``cir_snapshot(..., scene, t + dt)``.
+    A non-finite ``t``, ``f`` or lag, lags that are not 1-D and links
+    outside the array or the detector head raise ``ValueError``.
     This is the one-request case of :func:`stfcf_many`, which shares all
     of that across several estimates of one ensemble.
     """
@@ -204,12 +207,20 @@ class _Request(NamedTuple):
 
 
 def _request(link, other_link, t, f, dt_lags, df_lags) -> _Request:
-    dt_arr, df_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(dt_lags, dtype=float)),
-        np.atleast_1d(np.asarray(df_lags, dtype=float)),
-    )
-    dt_arr = dt_arr.ravel()
-    df_arr = df_arr.ravel()
+    dt_arr = np.asarray(dt_lags, dtype=float)
+    df_arr = np.asarray(df_lags, dtype=float)
+    for name, lags in (("dt_lags", dt_arr), ("df_lags", df_arr)):
+        if lags.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or 1-D, got an array of shape {lags.shape}")
+    if not math.isfinite(t):
+        raise ValueError(f"time t = {t} is not finite")
+    if not math.isfinite(f):
+        raise ValueError(f"frequency f = {f} is not finite")
+    for name, lags in (("dt", dt_arr), ("df", df_arr)):
+        if not np.isfinite(lags).all():
+            raise ValueError(f"{name} lag {lags[~np.isfinite(lags)].flat[0]} is not finite")
+    dt_arr, df_arr = (x.ravel() for x in np.broadcast_arrays(np.atleast_1d(dt_arr),
+                                                              np.atleast_1d(df_arr)))
     groups = []
     for dt_u in np.unique(dt_arr):
         sel = dt_arr == dt_u
@@ -226,8 +237,11 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
     distinct instants of all requests evaluates each distinct (link,
     instant) CIR once, on snapshots that follow :func:`stfcf`'s sharing
     rule, so for a receiver moving past static clusters each LED-side
-    half is built once per scene for all requests. Only the current
-    instant's snapshot and the scene's H values are kept while it runs.
+    half is built once per scene for all requests. The plan tells those
+    snapshots which links each instant will ask for, so a stacked pass
+    over a block of instants evaluates just those (link, instant) pairs.
+    Only the current block's snapshots and the scene's H values are kept
+    while it runs.
     """
     scenes = _check_ensemble(scenes)
     plans = [_request(*request) for request in requests]
@@ -244,7 +258,7 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
     for k, scene in enumerate(scenes):
         h1 = [None] * len(plans)
         h2 = [[None] * len(plan.groups) for plan in plans]
-        for t2, snapshot in zip(uses, _snapshots(scene, list(uses))):
+        for t2, snapshot in zip(uses, _snapshots(scene, list(uses), list(uses.values()))):
             for (i, j, p), consumers in uses[t2].items():
                 cir = cir_snapshot(i, j, p, scene, t2, snapshot=snapshot)
                 for r, g in consumers:

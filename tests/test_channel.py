@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import pickle
@@ -498,14 +499,14 @@ def test_channel_over_time_equals_fresh_snapshots(
 
 @pytest.fixture
 def leg_builds(monkeypatch):
-    """Counts calls to the bounce-leg builder and keeps a weak reference
-    to every snapshot it served."""
+    """Counts the bounce legs built, one per instant of each call to the
+    builder, and keeps a weak reference to the snapshot of each."""
     builder = vlcsim.channel._bounce_leg
     calls = []
 
-    def counting(snapshot, *args):
-        calls.append(weakref.ref(snapshot))
-        return builder(snapshot, *args)
+    def counting(snapshot, i, j, idx, kind, rx):
+        calls.extend([weakref.ref(snapshot)] * len(rx))
+        return builder(snapshot, i, j, idx, kind, rx)
 
     monkeypatch.setattr(vlcsim.channel, "_bounce_leg", counting)
     return calls
@@ -752,28 +753,51 @@ BATCH_CASES = {
 
 
 def _per_leg_fields(scene, i, j, p, t, visibility=None):
-    """The CIR fields of sub-channel (i, j, p), finished one leg at a time:
-    each leg's incidence cosines come from its own ``u_r @ n`` product."""
+    """The CIR fields of sub-channel (i, j, p), finished one leg at a time.
+
+    The direct path is computed here from scratch, one scalar at a time.
+    A bounce leg's incidence cosines come from one ``u @ n`` product over
+    all of its candidate rays, built here from the scatterer positions.
+    """
     snapshot = scene.at(t)
+    rx = snapshot.rx_position
     n_pd = snapshot.pd_normals[p - 1]
+    optics_cfg = scene.receiver.optics
+    vec = rx - scene.array.element_position(i, j)
+    d = float(np.linalg.norm(vec))
+    head = vlcsim.channel._element_intensity(scene, i, j, rx[None, :])[0] * scene.receiver.area
+    cos_pd = -((vec / d)[None, :] @ n_pd)
+    gain, in_fov = vlcsim.channel._pd_incidence(optics_cfg, cos_pd)
+    power = head * np.maximum(cos_pd, 0.0) / np.array([d**2]) * gain
+    ok = in_fov & (power > 0.0) & (head > 0.0)
+    los = np.full(int(ok.sum()), -1)
+    parts = [(power[ok], np.full(los.size, d / SPEED_OF_LIGHT),
+              np.full(los.size, int(TapKind.LOS), dtype=np.int8), los, los)]
     mask = scene.visibility if visibility is None else visibility
     vis = np.flatnonzero(mask[i - 1, j - 1])
     db = scene.is_db[vis]
-    parts = []
-    legs = (
-        (TapKind.LOS, vlcsim.channel._los_leg(snapshot, i, j)),
-        (TapKind.SB, vlcsim.channel._bounce_leg(snapshot, i, j, vis[~db], TapKind.SB)),
-        (TapKind.DB, vlcsim.channel._bounce_leg(snapshot, i, j, vis[db], TapKind.DB)),
-    )
-    for kind, leg in legs:
-        cos_pd = -(leg.u_r @ n_pd)[leg.keep]
-        gain, in_fov = vlcsim.channel._pd_incidence(scene.receiver.optics, cos_pd)
-        power = leg.head * np.maximum(cos_pd, 0.0) / leg.dr2 * gain
+    m = scene.distribution.scatterers_per_cluster
+    for kind, idx in ((TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
+        leg = vlcsim.channel._bounce_leg(snapshot, i, j, idx, kind, rx[None, :])
+        if kind == TapKind.SB:
+            exits = scene.tx.take(idx, t)[0]
+        else:
+            exits = scene.rx.take(scene.partner[idx], t)[0]
+            exits = exits[:, np.arange(m) % exits.shape[1]]
+        exits = exits.reshape(-1, 3)
+        cand = np.searchsorted(idx, leg.ids[1]) * m + leg.ids[2]
+        vec = rx - exits
+        u = vec / np.linalg.norm(vec, axis=1)[:, None]
+        keep = leg.keep[0]
+        cos_pd = -(u @ n_pd)[cand[keep]]
+        gain, in_fov = vlcsim.channel._pd_incidence(optics_cfg, cos_pd)
+        power = leg.head[0, keep] * np.maximum(cos_pd, 0.0) / leg.dr2[0, keep] * gain
         if leg.mid is not None:
-            power = power * leg.mid
+            power = power * leg.mid[keep]
         ok = in_fov & (power > 0.0)
         kinds = np.full(int(ok.sum()), int(kind), dtype=np.int8)
-        parts.append((power[ok], leg.delay[ok], kinds, leg.cluster[ok], leg.scatterer[ok]))
+        parts.append((power[ok], leg.delay[0, keep][ok], kinds,
+                      leg.ids[1, keep][ok], leg.ids[2, keep][ok]))
     fields = [np.concatenate(x) for x in zip(*parts)]
     order = np.argsort(fields[1], kind="stable")
     return [x[order] for x in fields]
@@ -817,12 +841,13 @@ def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
         "receiver": {"n_pd": 3, "fov_deg": 90.0, "rot_azimuth_deg_s": 37.0},
     })
     scene = cfg.build_scene(1)
-    snapshot = scene.at(0.0)
     lone_rays = []
     for k in scene.visible_indices(1, 2):
         kind = TapKind.DB if scene.is_db[k] else TapKind.SB
-        leg = vlcsim.channel._bounce_leg(snapshot, 1, 2, np.array([k]), kind)
-        if leg.keep.size > 1 and leg.keep.sum() == 1:
+        snapshot = scene.at(0.0)   # its LED-side half holds this one cluster
+        leg = vlcsim.channel._bounce_leg(snapshot, 1, 2, np.array([k]), kind,
+                                         snapshot.rx_position[None, :])
+        if leg.candidates > 1 and leg.keep.sum() == 1:
             lone_rays.append(k)
     assert lone_rays
     override = np.zeros_like(scene.visibility)
@@ -837,3 +862,179 @@ def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
             for name, want in zip(CIR_FIELDS, per_leg):
                 assert np.array_equal(getattr(cir, name), want)
     assert taps >= 10
+
+
+@pytest.mark.parametrize("link", [(0, 1, 1), (5, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0),
+                                  (1, 1, 2), (5, 5, 1)])
+def test_out_of_range_indices_are_rejected(link):
+    # (0, 1, 1) used to give taps under row 4's mask, p = 0 the taps of
+    # detector 1, and j = 5 or ccf(..., (5, 5, 1), ...) a bare IndexError
+    cfg = default_config()
+    scene, twin = cfg.build_scene(SEED), cfg.build_scene(SEED + 1)
+    named = re.escape(f"sub-channel {link} is out of range: i runs 1..4, j 1..4 and p 1..1")
+    with pytest.raises(ValueError, match=named):
+        cir_snapshot(*link, scene, 0.0)
+    with pytest.raises(ValueError, match=named):
+        transfer(scene, link, 0.0, [0.0, 1e6])
+    with pytest.raises(ValueError, match=named):
+        ccf([scene, twin], (1, 1, 1), link, 0.0, 1e8)
+    with pytest.raises(ValueError, match=named):
+        acf([scene, twin], link, 0.0, 1e8, [0.0, 0.1])
+    with pytest.raises(ValueError, match=named):
+        stfcf_many([scene, twin], [((1, 1, 1), (1, 1, 1), 0.0, 1e8, 0.0, 0.0),
+                                   ((1, 1, 1), link, 0.0, 1e8, 0.1, 0.0)])
+
+
+def _tobytes_equal(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+BLOCK_CASES = {
+    "moving-rotating-receiver": {"receiver": {
+        "n_pd": 3, "fov_deg": 60.0, "rot_azimuth_deg_s": 40.0, "rot_elevation_deg_s": 15.0}},
+    "one-scatterer-clusters": {
+        "evolution": {"birth_rate_per_m": 4.0},
+        "clusters": {"scatterers_per_cluster": 1},
+    },
+    "element-facing-away": {"array": {"row_azimuth_deg": 270.0},
+                            "receiver": {"travel_elevation_deg": 90.0}},
+    "tabulated-pattern": {"array": {"pattern": {"type": "batwing"}}},
+}
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    case=st.sampled_from(sorted(BLOCK_CASES)),
+    start=st.integers(0, 2**31),
+    t=st.sampled_from([0.0, 0.35]),
+    n_lags=st.integers(1, 2 * vlcsim.channel._STACK_BLOCK + 3),
+)
+def test_stacked_blocks_equal_lone_fresh_calls(case, start, t, n_lags):
+    # a receiver moving past static clusters: every CIR of a stacked pass,
+    # from stfcf_many (an acf, and a ccf whose links differ per instant)
+    # or from channel_over_time, has the bytes of a lone fresh call
+    cfg = _moving_config(rx_speed=0.6).merged(BLOCK_CASES[case])
+    scenes = [cfg.build_scene(s) for s in (start, start + 1)]
+    if case == "one-scatterer-clusters":   # one-candidate SB or DB legs
+        assert any(((s.visibility & (s.is_db == db)).sum(axis=-1) == 1).any()
+                   for s in scenes for db in (False, True))
+    if case == "element-facing-away":
+        assert all(int(TapKind.LOS) not in cir_snapshot(1, 1, 1, s, t).kinds for s in scenes)
+    original = vlcsim.stats.cir_snapshot
+    handed = []
+
+    def recording(*args, **kwargs):
+        cir = original(*args, **kwargs)
+        handed.append((args[3], cir))
+        return cir
+
+    p = scenes[0].receiver.n_pd
+    lags = [0.03 * k for k in range(n_lags)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vlcsim.stats, "cir_snapshot", recording)
+        stfcf_many(scenes, [((1, 2, p), (1, 2, p), t, 1e8, lags, 0.0),
+                            ((1, 1, 1), (2, 2, p), t, 1e8, lags[1:] or 0.2, 0.0)])
+    times = [t + lag for lag in lags]
+    for scene in scenes:
+        for matrix in channel_over_time(scene, times):
+            handed += [(scene, cir) for cir in matrix.cirs.values()]
+    assert len(handed) > len(times)
+    for scene, cir in handed:
+        fresh = original(*cir.element, cir.pd, scene, cir.time)
+        for name in CIR_FIELDS:
+            assert _tobytes_equal(getattr(cir, name), getattr(fresh, name)), name
+
+
+def test_a_link_wanted_only_at_its_anchor_gets_no_rx_half_at_the_lags(monkeypatch):
+    # the plan stacks only the (link, instant) pairs stfcf_many asks for:
+    # the anchor link's legs are built at the anchor alone, the other
+    # link's at each lag instant, in blocks of at most _STACK_BLOCK
+    builder = vlcsim.channel._bounce_leg
+    stacks = []
+
+    def counting(snapshot, i, j, idx, kind, rx):
+        stacks.append((snapshot.scene, (i, j), kind, len(rx)))
+        return builder(snapshot, i, j, idx, kind, rx)
+
+    monkeypatch.setattr(vlcsim.channel, "_bounce_leg", counting)
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    lags = [0.05 * k for k in range(1, 12)]
+    stfcf_many(scenes, [((1, 1, 1), (2, 2, 1), 0.3, 1e8, lags, 0.0)])
+    block = vlcsim.channel._STACK_BLOCK
+    for scene in scenes:
+        built = _bounce_keys(scene, [(1, 1), (2, 2)])
+        assert {(i, j) for i, j, _ in built} == {(1, 1), (2, 2)}
+        for kind in (TapKind.SB, TapKind.DB):
+            anchor = [k for s, e, kd, k in stacks if s is scene and e == (1, 1) and kd == kind]
+            lagged = [k for s, e, kd, k in stacks if s is scene and e == (2, 2) and kd == kind]
+            # a leg without a visible cluster is never built
+            assert anchor == ([1] if (1, 1, kind) in built else [])
+            # the anchor and the first block - 1 lags share the first block
+            assert lagged == ([block - 1, len(lags) - (block - 1)] if (2, 2, kind) in built
+                              else [])
+
+
+def test_stacked_blocks_build_each_tx_half_once_per_scene(tx_half_builds):
+    # acf-time's plan, 3 anchors of 21 lags, spans several blocks; each
+    # LED-side half is still built once per scene
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    lags = np.round(np.arange(0.0, 0.2000001, 0.01), 10)
+    stfcf_many(scenes, [((1, 2, 1), (1, 2, 1), anchor, 1e8, lags, 0.0)
+                        for anchor in (0.0, 1.0, 2.0)])
+    for scene in scenes:
+        built = sorted((i, j, kind) for _, s, _, i, j, kind in tx_half_builds if s is scene)
+        assert built == sorted(_bounce_keys(scene, [(1, 2)]))
+
+
+def test_lone_live_ray_of_a_many_candidate_leg_keeps_its_product():
+    # two scatterers per cluster: a leg through one cluster whose LED-side
+    # gates leave one ray of two. The Tx half drops the dead ray, but the
+    # live one still gets the gemv of a two-candidate leg, not the dot
+    # product of a one-candidate leg, in stacked blocks as in lone calls
+    cfg = default_config().merged({
+        "array": {"rows": 1, "cols": 1},
+        "clusters": {"scatterers_per_cluster": 2},
+        "receiver": {"n_pd": 3, "fov_deg": 90.0, "rot_azimuth_deg_s": 37.0,
+                     "rot_elevation_deg_s": 11.0, "speed_m_s": 0.3},
+    })
+    scene = cfg.build_scene(3)
+    lone = {}
+    for k in scene.visible_indices(1, 1):
+        kind = TapKind.DB if scene.is_db[k] else TapKind.SB
+        half = vlcsim.channel._tx_half(scene.at(0.0), 1, 1, np.array([k]), kind)
+        if half.candidates == 2 and half.ids.shape[1] == 1:
+            lone.setdefault(kind, k)
+    assert TapKind.SB in lone
+    mask = np.zeros_like(scene.visibility)
+    mask[0, 0, list(lone.values())] = True
+    scene = dataclasses.replace(scene, visibility=mask)
+    times = np.linspace(0.0, 6.0, 3 * vlcsim.channel._STACK_BLOCK).tolist()
+    links = [[(1, 1, p) for p in (1, 2, 3)]] * len(times)
+    taps = 0
+    for t, snapshot in zip(times, vlcsim.channel._snapshots(scene, times, links)):
+        for p in (1, 2, 3):
+            cir = cir_snapshot(1, 1, p, scene, t, snapshot=snapshot)
+            taps += int((cir.kinds != int(TapKind.LOS)).sum())
+            for name, want in zip(CIR_FIELDS, _per_leg_fields(scene, 1, 1, p, t)):
+                assert _tobytes_equal(getattr(cir, name), want), name
+    assert taps >= len(times)
+
+
+@pytest.mark.parametrize("pattern", ["lambertian", "batwing"])
+def test_stacked_direct_path_keeps_the_bits_of_one_position_at_a_time(pattern):
+    # the length is a 1-D norm's dot product, the pattern sees a (1, 3)
+    # point, and the squared length is Python's d ** 2 (libm's pow), which
+    # differs from d * d in about one last bit in a thousand
+    scene = default_config().merged({"array": {"pattern": {"type": pattern}}}).build_scene(SEED)
+    rx = np.random.default_rng(7).uniform([0.5, -2.0, -2.0], [4.0, 2.0, 2.0], (3000, 3))
+    leg = vlcsim.channel._los_leg(scene, 2, 3, rx)
+    led = scene.array.element_position(2, 3)
+    for k, point in enumerate(rx):
+        vec = point - led
+        d = float(np.linalg.norm(vec))
+        head = vlcsim.channel._element_intensity(scene, 2, 3, point[None, :])[0]
+        want = (vec / d, np.array([d**2]), head * scene.receiver.area, d / SPEED_OF_LIGHT)
+        got = (leg.u[:, k, 0], leg.dr2[k], leg.head[k, 0], leg.delay[k, 0])
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert leg.keep.any()

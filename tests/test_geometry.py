@@ -15,7 +15,8 @@ from vlcsim import (
     ZeroVectorError,
 )
 from vlcsim.geometry import (
-    angle_between,
+    _dots,
+    _norms,
     cart_to_sph,
     cluster_equivalent_normal,
     direction,
@@ -77,16 +78,6 @@ def test_sph_angles_matches_scalar():
         assert az[k] == pytest.approx(pair.azimuth, abs=1e-14)
         assert el[k] == pytest.approx(pair.elevation, abs=1e-14)
         assert r[k] == pytest.approx(rk, rel=1e-14)
-
-
-def test_angle_between_matches_dot_product():
-    rng = np.random.default_rng(SEED + 2)
-    for _ in range(100):
-        a = AnglePair(rng.uniform(0, 2 * math.pi), rng.uniform(-1.5, 1.5))
-        b = AnglePair(rng.uniform(0, 2 * math.pi), rng.uniform(-1.5, 1.5))
-        dot = float(direction(*a) @ direction(*b))
-        expect = math.acos(min(1.0, max(-1.0, dot)))
-        assert angle_between(a, b) == pytest.approx(expect, abs=1e-12)
 
 
 def test_gcs_to_lcs11_default_orientation_is_identity():
@@ -290,3 +281,17 @@ def test_cluster_equivalent_normal_points_back_at_axis():
 def test_cluster_equivalent_normal_on_axis_raises():
     with pytest.raises(DegenerateNormalError):
         cluster_equivalent_normal(0.0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (7, 3), (4096, 3), (5, 1, 3)])
+def test_row_norms_and_dots_keep_the_bits_of_numpy(shape):
+    # the channel kernel relies on these summation orders to keep its
+    # output bytes: norm(axis=-1) as (x*x + y*y) + z*z, and
+    # einsum("ij,ij->i") as (x*a + z*c) + y*b
+    rng = np.random.default_rng(SEED + 7)
+    scale = 10.0 ** rng.uniform(-6, 6, shape[:-1] + (1,))
+    a = rng.standard_normal(shape) * scale
+    b = rng.standard_normal(shape)
+    assert _norms(np.moveaxis(a, -1, 0)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+    flat_a, flat_b = a.reshape(-1, 3), b.reshape(-1, 3)
+    assert _dots(flat_a.T, flat_b.T).tobytes() == np.einsum("ij,ij->i", flat_a, flat_b).tobytes()

@@ -19,7 +19,6 @@ from vlcsim.optics import (
     MATERIAL_NAMES,
     _DATA_DIR,
     concentrator_gain,
-    diffuse_reflection,
     effective_reflectance,
     hemisphere_integral,
     lambertian_intensity,
@@ -142,16 +141,6 @@ def test_concentrator_gains():
     assert concentrator_gain(point, 0.0) == pytest.approx(
         1.5**2 / math.sin(math.radians(1.0)) ** 2
     )
-
-
-def test_diffuse_reflection_values():
-    assert diffuse_reflection(0.0) == pytest.approx(1.0 / math.pi)
-    assert diffuse_reflection(math.pi / 3) == pytest.approx(0.5 / math.pi)
-    assert diffuse_reflection(math.pi / 2) == pytest.approx(0.0, abs=1e-16)
-    with pytest.raises(OutOfRangeError):
-        diffuse_reflection(-0.2)
-    with pytest.raises(OutOfRangeError):
-        diffuse_reflection(1.7)
 
 
 def test_spectral_curve_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -561,3 +562,49 @@ def test_stfcf_many_evaluates_each_distinct_cir_once_per_scene(monkeypatch):
     for scene in scenes:
         mine = [(link, t) for link, s, t in calls if s is scene]
         assert sorted(mine) == [((k, k, 1), 0.0) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stfcf_rejects_non_finite_frequencies(bad):
+    # a NaN df lag used to give a silent NaN series
+    _, scenes = _ensemble(2)
+    with pytest.raises(ValueError, match=f"df lag {bad} is not finite"):
+        fcf(scenes, (1, 1, 1), 0.0, 1e8, [0.0, bad])
+    with pytest.raises(ValueError, match=f"frequency f = {bad} is not finite"):
+        acf(scenes, (1, 1, 1), 0.0, bad, [0.0, 0.1])
+    with pytest.raises(ValueError, match="df lag"):
+        stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), 0.0, 1e8, 0.0, 0.0),
+                            ((1, 1, 1), (2, 2, 1), 0.0, 1e8, 0.0, [bad])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stfcf_rejects_non_finite_times_before_any_cir(bad, monkeypatch):
+    # a bad instant of a receiver moving past static clusters would join
+    # a stacked block with finite ones and put inf or NaN into their
+    # receiver positions before cir_snapshot refused it
+    cfg = default_config().merged({"receiver": {"speed_m_s": 0.6}})
+    scenes = [cfg.build_scene(s) for s in (3, 4)]
+    calls = []
+    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", lambda *a, **k: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"dt lag {bad} is not finite"):
+            acf(scenes, (1, 1, 1), 0.0, 1e8, [0.0, bad])
+        with pytest.raises(ValueError, match=f"time t = {bad} is not finite"):
+            ccf(scenes, (1, 1, 1), (2, 2, 1), bad, 1e8)
+        with pytest.raises(ValueError, match="dt lag"):
+            stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), 0.0, 1e8, [0.0, 0.1], 0.0),
+                                ((1, 1, 1), (2, 2, 1), 0.0, 1e8, [bad], 0.0)])
+    assert calls == []
+
+
+def test_stfcf_rejects_lags_that_are_not_one_dimensional():
+    # 2-D lags used to be flattened silently, while channel_over_time
+    # refuses 2-D times
+    _, scenes = _ensemble(2)
+    with pytest.raises(ValueError, match=r"dt_lags.*\(1, 2\)"):
+        acf(scenes, (1, 1, 1), 0.0, 1e8, [[0.0, 0.1]])
+    with pytest.raises(ValueError, match=r"df_lags.*\(2, 1\)"):
+        fcf(scenes, (1, 1, 1), 0.0, 1e8, [[0.0], [1e6]])
+    series = stfcf(scenes, (1, 1, 1), (1, 1, 1), 0.0, 1e8, 0.0, [0.0, 1e6])
+    assert series.dt.shape == series.df.shape == (2,)
