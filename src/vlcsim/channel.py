@@ -229,8 +229,9 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: 
     carry no power before the detector; what is left holds for every
     detector normal. The LED-side half comes from the block's
     ``tx_halves`` under ``(i, j, kind)`` when the block has that dict,
-    and is built into it on a miss; its callers keep ``idx`` and the
-    cluster positions the same for every key. Lengths and dot products
+    and is built into it on a miss. ``idx`` is always the scene's
+    clusters of that kind visible at (i, j), and the block's clusters
+    do not move, so one key names one half. Lengths and dot products
     come from :func:`geometry._norms` and :func:`geometry._dots`, so each
     value has the bits of the same ray's row in ``(N, 3)`` arrays.
     """
@@ -298,20 +299,18 @@ def _all_elements(rows: int, cols: int) -> tuple:
     return tuple((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
 
 
-def _layout(snapshot: SceneSnapshot, positions: tuple, elements: tuple,
-            mask: np.ndarray) -> _Layout:
-    """The LoS, SB and DB legs of ``elements`` under visibility ``mask``
-    at the instants ``positions`` of the snapshot's block, computed for
-    all of those instants at once. A bounce leg without a visible
-    cluster is left out. A bounce leg reads its LED-side half from the
-    block (see :func:`_bounce_leg`), which only the scene's own mask may
-    use.
+def _layout(snapshot: SceneSnapshot, positions: tuple, elements: tuple) -> _Layout:
+    """The LoS, SB and DB legs of ``elements`` at the instants
+    ``positions`` of the snapshot's block, computed for all of those
+    instants at once. A bounce leg without a visible cluster is left
+    out. A bounce leg reads its LED-side half from the block (see
+    :func:`_bounce_leg`).
     """
     scene = snapshot.scene
     rx = snapshot._block.rx_positions[list(positions)]
     legs, firsts = [], []   # firsts: each element's LoS leg
     for i, j in elements:
-        vis = np.flatnonzero(mask[i - 1, j - 1])
+        vis = scene.visible_indices(i, j)
         db = scene.is_db[vis]
         firsts.append(len(legs))
         legs.append(_los_leg(scene, i, j, rx))
@@ -404,15 +403,15 @@ def cir_snapshot(
     p: int,
     scene: Scene,
     t: float,
-    visibility: np.ndarray | None = None,
     snapshot: SceneSnapshot | None = None,
 ) -> Cir:
     """Impulse response of sub-channel (i, j, p) at time ``t``.
 
     ``i``, ``j`` and ``p`` run from 1 to the array's rows, its columns
     and the receiver's detector count; others raise ``ValueError``.
-    ``visibility`` overrides the scene's own birth-death mask and must
-    have its shape; its layout serves this call alone. Calls at one
+    The rays run through the clusters ``scene.visibility`` marks at
+    element (i, j); for another mask of the same shape, pass
+    ``dataclasses.replace(scene, visibility=mask)``. Calls at one
     instant can share one ``snapshot = scene.at(t)`` (one of another
     scene or time raises ``ValueError``) and with it the receiver
     position, the detector normals and the layout of the
@@ -437,14 +436,8 @@ def cir_snapshot(
                          f"than the one of this call (seed {scene.seed})")
     if snapshot is not None and snapshot.time != t:
         raise ValueError(f"snapshot is at time {snapshot.time}, the call at t = {t}")
-    mask = scene.visibility if visibility is None else visibility
-    if mask.shape != scene.visibility.shape:
-        raise ValueError(
-            f"visibility override has shape {mask.shape}, "
-            f"the scene's mask has shape {scene.visibility.shape}"
-        )
-    if snapshot is None or visibility is not None:
-        snapshot = scene.at(t)   # an override gets a block of its own: nothing is shared
+    if snapshot is None:
+        snapshot = scene.at(t)
     block, q = snapshot._block, snapshot._position
     if block.finish_all:   # the layout holds every element
         elements, e, scope = _all_elements(rows, cols), (i - 1) * cols + j - 1, None
@@ -457,8 +450,7 @@ def cir_snapshot(
             positions = (q,)
         layout = block.layouts.get((scope, positions))
         if layout is None:
-            layout = block.layouts[(scope, positions)] = _layout(
-                snapshot, positions, elements, mask)
+            layout = block.layouts[(scope, positions)] = _layout(snapshot, positions, elements)
         normals = [block.pd_normals[k][p - 1] for k in positions]
         fields, cuts = _finish(layout, normals, scene.receiver.optics)
         for r, k in enumerate(positions):
@@ -471,13 +463,11 @@ def cir_snapshot(
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """All sub-channel impulse responses of a scene at one instant."""
+    """All sub-channel impulse responses of a scene at one instant,
+    keyed by (i, j, p) in ``cirs``."""
 
     time: float
     cirs: dict
-
-    def cir(self, i: int, j: int, p: int = 1) -> Cir:
-        return self.cirs[(i, j, p)]
 
 
 def _snapshots(scene: Scene, times, links=None) -> Iterator[SceneSnapshot]:

@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import optics, scene
-from .errors import ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError, VlcSimError
 from .geometry import ArrayOrientation
 
 __all__ = [
@@ -304,10 +304,14 @@ class SimulationConfig:
 
     def pattern(self):
         """Emission pattern of ``array.pattern``; shared by every config
-        with the same section, except a user ``file``, read every call."""
+        with the same section, except a user ``file``, read every call.
+        A file that holds no valid pattern raises ConfigValidationError."""
         p = self.data["array"]["pattern"]
         if p["type"] == "file":
-            return optics.load_pattern(p["path"])
+            try:
+                return optics.load_pattern(p["path"])
+            except (ValueError, VlcSimError) as exc:
+                raise ConfigValidationError(f"array.pattern.path: {exc}") from exc
         return _bundled_pattern(_canonical(p))
 
     def receiver(self) -> scene.Receiver:
@@ -375,14 +379,22 @@ class SimulationConfig:
 
         Shared by every config with the same LED, wavelength window and
         material weights, except an LED given as a CSV path: user files
-        are read every call, so a rewritten file is never stale.
+        are read every call, so a rewritten file is never stale. An LED
+        file that holds no valid spectrum, or a window that the LED or
+        the material tables do not cover, raises ConfigValidationError.
         """
         s = self.data["spectrum"]
         args = (s["led"], s["wavelength_lo_nm"], s["wavelength_hi_nm"],
                 self.material_weights())
-        if optics.led_psd_path(s["led"]).parent != _DATA_DIR:
-            return scene.gamma_table(*args)
-        return dict(_bundled_gamma_table(_canonical(args)))
+        try:
+            if optics.led_psd_path(s["led"]).parent != _DATA_DIR:
+                return scene.gamma_table(*args)
+            return dict(_bundled_gamma_table(_canonical(args)))
+        except (ValueError, VlcSimError) as exc:
+            raise ConfigValidationError(
+                f"spectrum.led {s['led']!r} with spectrum.wavelength_lo_nm "
+                f"{s['wavelength_lo_nm']} and spectrum.wavelength_hi_nm "
+                f"{s['wavelength_hi_nm']}: {exc}") from exc
 
     def frequency_grid(self) -> np.ndarray:
         f = self.data["frequency"]

@@ -34,7 +34,6 @@ __all__ = [
     "invert_frame",
     "led_position",
     "pd_normals",
-    "sph_to_cart",
     "wrap_azimuth",
 ]
 
@@ -72,11 +71,6 @@ def direction(azimuth, elevation):
         [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1
     )
     return out
-
-
-def sph_to_cart(angles: AnglePair, r: float = 1.0) -> np.ndarray:
-    """Cartesian point at distance ``r`` along the ``angles`` direction."""
-    return r * direction(angles.azimuth, angles.elevation)
 
 
 def cart_to_sph(v) -> tuple[AnglePair, float]:

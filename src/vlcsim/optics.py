@@ -43,7 +43,6 @@ __all__ = [
     "load_led_psd",
     "load_material",
     "load_pattern",
-    "pattern_from_luminous",
 ]
 
 
@@ -126,30 +125,15 @@ class TabulatedPattern:
         )
 
 
-def hemisphere_integral(pattern, n: int = 361) -> float:
-    """Forward-hemisphere power of a pattern by trapezoidal quadrature."""
-    el = np.linspace(-math.pi / 2, math.pi / 2, n)
-    az = np.linspace(-math.pi / 2, math.pi / 2, n)
+def hemisphere_integral(pattern) -> float:
+    """Forward-hemisphere power of a pattern by trapezoidal quadrature on
+    a 361 x 361 grid."""
+    el = np.linspace(-math.pi / 2, math.pi / 2, 361)
+    az = np.linspace(-math.pi / 2, math.pi / 2, 361)
     ee, aa = np.meshgrid(el, az, indexing="ij")
     f = pattern.intensity(ee, aa) * np.cos(ee)
     inner = np.trapezoid(f, az, axis=1)
     return float(np.trapezoid(inner, el))
-
-
-def pattern_from_luminous(
-    elevation: np.ndarray,
-    azimuth: np.ndarray,
-    luminous: np.ndarray,
-    ler: float,
-) -> TabulatedPattern:
-    """Pattern from a luminous-intensity table (cd) and a luminous efficacy (lm/W).
-
-    Dividing by the efficacy converts to radiant intensity; the result is
-    then rescaled to unit hemispherical power like every other pattern.
-    """
-    if ler <= 0.0:
-        raise ValueError("luminous efficacy must be positive")
-    return TabulatedPattern(elevation, azimuth, np.asarray(luminous, dtype=float) / ler)
 
 
 def load_pattern(path) -> TabulatedPattern:
@@ -303,7 +287,10 @@ def _read_csv(path, columns) -> np.ndarray:
         rows = [[float(x) for x in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: values must be finite")
+    return rows
 
 
 def _load_curve(path, role) -> SpectralCurve:

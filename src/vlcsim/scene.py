@@ -28,7 +28,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import geometry, optics
-from .errors import DegenerateNormalError, ZeroDistanceError
+from .errors import DegenerateNormalError, DomainMismatchError, ZeroDistanceError
 from .geometry import TWO_PI, ArrayOrientation
 
 __all__ = [
@@ -464,11 +464,11 @@ class _Block:
     element, or None for every element. ``wanted`` maps ``(scope, p)``
     to the positions whose calls will ask for that finish, so the first
     of them evaluates them all in one stacked pass. ``tx_halves`` maps
-    ``(i, j, kind)`` to the LED-side half of a bounce leg under the
-    scene's own mask, or is None where no other layout will need a half
-    again. ``layouts`` maps ``(scope, positions)`` to a ray layout and
-    ``finished`` maps ``(scope, p, position)`` to the finish that holds
-    that instant's taps.
+    ``(i, j, kind)`` to the LED-side half of a bounce leg, or is None
+    where no other layout will need a half again. ``layouts`` maps
+    ``(scope, positions)`` to a ray layout and ``finished`` maps
+    ``(scope, p, position)`` to the finish that holds that instant's
+    taps.
     """
 
     scene: "Scene"
@@ -551,14 +551,25 @@ def gamma_table(
     """Effective reflectance per material for the configured source spectrum.
 
     A degenerate wavelength window (lo == hi) means a monochromatic
-    source: the reflectance is evaluated pointwise instead of integrated.
+    source: the reflectance is evaluated pointwise instead of integrated,
+    and a wavelength outside a material's table raises
+    DomainMismatchError, as the integrated path does.
     """
     if wavelength_lo == wavelength_hi:
-        return {name: float(optics.load_material(name).value_at(wavelength_lo))
-                for name in material_weights}
+        table = {}
+        for name in material_weights:
+            curve = optics.load_material(name)
+            if not curve.support[0] <= wavelength_lo <= curve.support[1]:
+                raise DomainMismatchError(
+                    f"{name} reflectance covers {list(curve.support)} nm, not {wavelength_lo} nm")
+            table[name] = float(curve.value_at(wavelength_lo))
+        return table
     psd = optics.load_led_psd(psd_name)
     lo = max(wavelength_lo, psd.support[0])
     hi = min(wavelength_hi, psd.support[1])
+    if lo >= hi:
+        raise ValueError(f"wavelength window [{wavelength_lo}, {wavelength_hi}] nm leaves "
+                         f"nothing of the LED spectrum's support {list(psd.support)} nm")
     psd = psd.restricted(lo, hi).normalized()
     return {name: optics.effective_reflectance(psd, optics.load_material(name))
             for name in material_weights}

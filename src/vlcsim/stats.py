@@ -97,13 +97,10 @@ def transfer(
     link: tuple[int, int, int],
     t: float,
     freqs,
-    nlos_only: bool = False,
 ) -> np.ndarray:
     """H(t, f) of one sub-channel directly from a scene (empty CIR -> 0)."""
     i, j, p = link
     cir = cir_snapshot(i, j, p, scene, t)
-    if nlos_only:
-        cir = cir.nlos_only()
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     return _response(cir.powers, cir.delays, freqs)
 
@@ -460,7 +457,7 @@ class ShadowingStats:
     empirical_cdf: np.ndarray
 
 
-def shadowing_stats(residuals, alpha: float = 0.05) -> ShadowingStats:
+def shadowing_stats(residuals) -> ShadowingStats:
     """Residual moments plus a KS check against the fitted Gaussian.
 
     Uses the asymptotic 5% critical value 1.358/sqrt(n); needs >= 30
@@ -470,8 +467,6 @@ def shadowing_stats(residuals, alpha: float = 0.05) -> ShadowingStats:
     n = r.size
     if n < 30:
         raise TooFewSamplesError("normality check needs at least 30 residuals")
-    if alpha != 0.05:
-        raise ValueError("only the 5% level is tabulated")
     mean = float(r.mean())
     std = float(r.std(ddof=1))
     ks = float(spstats.kstest(r, "norm", args=(mean, std)).statistic)

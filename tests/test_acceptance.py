@@ -5,6 +5,7 @@ log scrape shows the whole scorecard. Budgeted runtimes are asserted
 alongside the physics.
 """
 
+import dataclasses
 import math
 import time
 
@@ -46,10 +47,11 @@ def _abs_normalized(products: np.ndarray, zeros: np.ndarray):
 
 def test_criterion_1_los_hand_check():
     scene = default_config().build_scene(SEED)
-    hidden = np.zeros_like(scene.visibility)  # direct path only
-    cir_snapshot(1, 1, 1, scene, 0.0, visibility=hidden)  # warm caches
+    # direct path only
+    hidden = dataclasses.replace(scene, visibility=np.zeros_like(scene.visibility))
+    cir_snapshot(1, 1, 1, hidden, 0.0)  # warm caches
     t0 = time.perf_counter()
-    cir = cir_snapshot(1, 1, 1, scene, 0.0, visibility=hidden)
+    cir = cir_snapshot(1, 1, 1, hidden, 0.0)
     elapsed = time.perf_counter() - t0
     power, delay = cir.powers[0], cir.delays[0]
 

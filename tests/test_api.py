@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,16 @@ def test_benchmark_hooks_resolve():
                if attr not in vars(owner)]
     assert missing == []
     assert config.default_config().threads == 1
+
+
+def test_readme_python_blocks_run(capsys):
+    # the blocks run in order and share one namespace: later ones use
+    # names the Quick start defines
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert "DC gain" in capsys.readouterr().out
+    assert namespace["moving"].data["receiver"]["speed_m_s"] == 0.5

@@ -56,7 +56,8 @@ def _only_tap(cir, kind):
 
 def _los_cir(scene, t):
     """Direct path of sub-channel (1, 1, 1) alone: every cluster hidden."""
-    return cir_snapshot(1, 1, 1, scene, t, visibility=np.zeros_like(scene.visibility))
+    hidden = dataclasses.replace(scene, visibility=np.zeros_like(scene.visibility))
+    return cir_snapshot(1, 1, 1, hidden, t)
 
 
 def _random_setup(rng, double):
@@ -377,8 +378,8 @@ def test_cir_snapshot_structure():
 
 def test_cir_snapshot_respects_visibility_override():
     scene = default_config().merged(SMALL).build_scene(5)
-    none_visible = np.zeros_like(scene.visibility)
-    cir = cir_snapshot(1, 1, 1, scene, 0.0, visibility=none_visible)
+    none_visible = dataclasses.replace(scene, visibility=np.zeros_like(scene.visibility))
+    cir = cir_snapshot(1, 1, 1, none_visible, 0.0)
     assert np.all(cir.kinds == int(TapKind.LOS))
     assert cir.powers.size == 1
 
@@ -418,7 +419,7 @@ def test_channel_over_time_covers_all_subchannels():
     assert set(mats[0].cirs) == {
         (i, j, p) for i in (1, 2) for j in (1, 2) for p in (1, 2, 3)
     }
-    one = mats[1].cir(2, 2, 3)
+    one = mats[1].cirs[(2, 2, 3)]
     assert isinstance(one, Cir)
     assert one.element == (2, 2) and one.pd == 3 and one.time == 0.5
 
@@ -444,16 +445,6 @@ def test_scene_without_clusters_is_line_of_sight_only():
         for one in matrix.cirs.values():
             assert np.all(one.kinds == int(TapKind.LOS))
             assert one.powers.size <= 1
-
-
-def test_cir_snapshot_rejects_visibility_of_another_shape():
-    scene = default_config().build_scene(SEED)
-    rows, cols, n = scene.visibility.shape
-    for shape in ((rows, cols, 3), (rows, cols, n + 5)):
-        wrong = np.ones(shape, dtype=bool)
-        named = f"{re.escape(str(shape))}.*{re.escape(str(scene.visibility.shape))}"
-        with pytest.raises(ValueError, match=named):
-            cir_snapshot(1, 1, 1, scene, 0.0, visibility=wrong)
 
 
 CIR_FIELDS = ("powers", "delays", "kinds", "clusters", "scatterers")
@@ -529,39 +520,18 @@ def test_moving_scene_rebuilds_legs_every_instant(leg_builds, motion):
     assert len(leg_builds) == 2 * 2 * 2 * len(times)
 
 
-def test_visibility_override_misses_a_shared_snapshot(leg_builds):
-    scene = _moving_config().build_scene(SEED)
-    snapshot = scene.at(0.0)
-    full = cir_snapshot(1, 1, 1, scene, 0.0, snapshot=snapshot)
-    built = len(leg_builds)
-    override = scene.visibility.copy()
-    override[0, 0, np.flatnonzero(override[0, 0])[::2]] = False
-    shared = cir_snapshot(1, 1, 1, scene, 0.0, visibility=override, snapshot=snapshot)
-    assert len(leg_builds) > built
-    fresh = cir_snapshot(1, 1, 1, scene, 0.0, visibility=override)
-    again = cir_snapshot(1, 1, 1, scene, 0.0, snapshot=snapshot)
-    assert shared.powers.size < full.powers.size
-    for name in CIR_FIELDS:
-        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
-        assert np.array_equal(getattr(again, name), getattr(full, name))
-
-
 def test_detectors_share_the_layout_of_one_snapshot(leg_builds):
-    # the three detectors of a head build each bounce leg once, and an
-    # override call on their snapshot leaves its layout in place
+    # the three detectors of a head build each bounce leg once, and later
+    # calls on their snapshot read its layout
     scene = _moving_config().build_scene(SEED)
     snapshot = scene.at(0.0)
     cirs = [cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot) for p in (1, 2, 3)]
     assert len(leg_builds) == 2
-    override = scene.visibility.copy()
-    override[0, 0, np.flatnonzero(override[0, 0])[::2]] = False
-    cir_snapshot(1, 1, 1, scene, 0.0, visibility=override, snapshot=snapshot)
-    built = len(leg_builds)
     for p, cir in zip((1, 2, 3), cirs):
         again = cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot)
         for name in CIR_FIELDS:
             assert np.array_equal(getattr(again, name), getattr(cir, name))
-    assert len(leg_builds) == built
+    assert len(leg_builds) == 2
 
 
 def test_snapshot_of_another_instant_or_scene_is_rejected():
@@ -752,7 +722,7 @@ BATCH_CASES = {
 }
 
 
-def _per_leg_fields(scene, i, j, p, t, visibility=None):
+def _per_leg_fields(scene, i, j, p, t):
     """The CIR fields of sub-channel (i, j, p), finished one leg at a time.
 
     The direct path is computed here from scratch, one scalar at a time.
@@ -773,8 +743,7 @@ def _per_leg_fields(scene, i, j, p, t, visibility=None):
     los = np.full(int(ok.sum()), -1)
     parts = [(power[ok], np.full(los.size, d / SPEED_OF_LIGHT),
               np.full(los.size, int(TapKind.LOS), dtype=np.int8), los, los)]
-    mask = scene.visibility if visibility is None else visibility
-    vis = np.flatnonzero(mask[i - 1, j - 1])
+    vis = np.flatnonzero(scene.visibility[i - 1, j - 1])
     db = scene.is_db[vis]
     m = scene.distribution.scatterers_per_cluster
     for kind, idx in ((TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
@@ -850,15 +819,16 @@ def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
         if leg.candidates > 1 and leg.keep.sum() == 1:
             lone_rays.append(k)
     assert lone_rays
-    override = np.zeros_like(scene.visibility)
-    override[0, 1, lone_rays[0]] = True
+    mask = np.zeros_like(scene.visibility)
+    mask[0, 1, lone_rays[0]] = True
+    scene = dataclasses.replace(scene, visibility=mask)
     taps = 0
     for t in np.linspace(0.0, 9.0, 10):
         for p in (1, 2, 3):
-            cir = cir_snapshot(1, 2, p, scene, t, visibility=override)
+            cir = cir_snapshot(1, 2, p, scene, t)
             assert cir.powers.size <= 1 and int(TapKind.LOS) not in cir.kinds
             taps += cir.powers.size
-            per_leg = _per_leg_fields(scene, 1, 2, p, t, override)
+            per_leg = _per_leg_fields(scene, 1, 2, p, t)
             for name, want in zip(CIR_FIELDS, per_leg):
                 assert np.array_equal(getattr(cir, name), want)
     assert taps >= 10

@@ -212,7 +212,11 @@ def test_cli_unknown_experiment():
     assert main(["--experiment", "nope"]) == 2
 
 
-def test_cli_rejects_bad_config(tmp_path):
+_PATTERN_HEAD = "elevation_deg,azimuth_deg,intensity\n"
+_LED_HEAD = "wavelength_nm,value\n"
+
+
+def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("receiver: [\n")
     assert main(["--experiment", "ccf-space", "--config", str(bad)]) == 2
@@ -230,6 +234,38 @@ def test_cli_rejects_bad_config(tmp_path):
         out = tmp_path / name.replace(".yaml", "")
         assert main(["--experiment", "ccf-space", "--config", str(cfg),
                      "--out", str(out)]) == 2
+        assert not out.exists()
+    # data files whose contents are bad, and wavelength windows outside the
+    # LED spectrum or the material tables, fail when the run builds its
+    # tables, still as config errors
+    patterns = {
+        "ragged.csv": _PATTERN_HEAD + "0,0,1\n0,10,1\n10,0,1\n",
+        "word.csv": _PATTERN_HEAD + "0,0,1\n0,10,one\n10,0,1\n10,10,1\n",
+        "dark.csv": _PATTERN_HEAD + "0,0,0\n0,10,0\n10,0,0\n10,10,0\n",
+        "infinite.csv": _PATTERN_HEAD + "0,0,1\n0,10,inf\n10,0,1\n10,10,1\n",
+    }
+    leds = {
+        "one_row.csv": _LED_HEAD + "500,1\n",
+        "negative.csv": _LED_HEAD + "400,1\n500,-1\n600,1\n",
+        "not_a_number.csv": _LED_HEAD + "400,1\n500,nan\n600,1\n",
+    }
+    for name, text in {**patterns, **leds}.items():
+        (tmp_path / name).write_text(text)
+    cases = [("array.pattern.path", f"array:\n  pattern: {{type: file, path: {tmp_path / name}}}\n")
+             for name in patterns]
+    cases += [("spectrum.led", f"spectrum:\n  led: {tmp_path / name}\n") for name in leds]
+    cases += [("spectrum.wavelength_lo_nm",
+               f"spectrum:\n  wavelength_lo_nm: 100\n  wavelength_hi_nm: {hi}\n")
+              for hi in (200, 100)]
+    for key, text in cases:
+        cfg = tmp_path / "contents.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "contents"
+        capsys.readouterr()
+        assert main(["--experiment", "rms-adr", "--config", str(cfg),
+                     "--out", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("vlcsim: config error: ") and key in err, err
         assert not out.exists()
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from vlcsim import (
-    AnglePair,
     ArrayOrientation,
     DegenerateNormalError,
     InvalidAdrError,
@@ -27,7 +26,6 @@ from vlcsim.geometry import (
     pd_normals,
     points_to_lcs_ij,
     sph_angles,
-    sph_to_cart,
     wrap_azimuth,
 )
 
@@ -61,7 +59,7 @@ def test_cart_to_sph_round_trip():
         pair, r = cart_to_sph(v)
         assert 0.0 <= pair.azimuth < 2.0 * math.pi
         assert -math.pi / 2 <= pair.elevation <= math.pi / 2
-        assert np.allclose(sph_to_cart(pair, r), v, rtol=1e-12, atol=1e-12)
+        assert np.allclose(r * direction(*pair), v, rtol=1e-12, atol=1e-12)
 
 
 def test_cart_to_sph_zero_vector():
@@ -266,7 +264,7 @@ def test_cluster_equivalent_normal_points_back_at_axis():
         az = rng.uniform(0.0, 2.0 * math.pi)
         el = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
         d = rng.uniform(0.2, 10.0)
-        center = sph_to_cart(AnglePair(az, el), d)
+        center = d * direction(az, el)
         if math.hypot(center[1], center[2]) < 1e-6:
             continue
         n = cluster_equivalent_normal(az, el, d)

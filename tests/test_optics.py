@@ -24,7 +24,6 @@ from vlcsim.optics import (
     lambertian_intensity,
     load_led_psd,
     load_material,
-    pattern_from_luminous,
 )
 
 
@@ -91,16 +90,16 @@ def test_tabulated_pattern_validation():
         TabulatedPattern(el, az, np.zeros((5, 7)))
 
 
-def test_pattern_from_luminous_scale_invariant():
+def test_tabulated_pattern_scale_invariant():
+    # construction renormalises, so a table in any unit (a luminous
+    # intensity over an efficacy, say) gives the same pattern
     el = np.linspace(-1.2, 1.2, 41)
     az = np.linspace(-1.2, 1.2, 41)
     ee, aa = np.meshgrid(el, az, indexing="ij")
     lum = 137.0 * lambertian_intensity(2.0, ee, aa)
-    a = pattern_from_luminous(el, az, lum, ler=250.0)
+    a = TabulatedPattern(el, az, lum / 250.0)
     b = TabulatedPattern(el, az, lum)
     assert np.allclose(a.values, b.values, rtol=1e-12)
-    with pytest.raises(ValueError):
-        pattern_from_luminous(el, az, lum, ler=0.0)
 
 
 @pytest.mark.parametrize("name", ["pattern_narrow.csv", "pattern_batwing.csv"])

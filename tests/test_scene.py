@@ -12,6 +12,7 @@ from vlcsim import (
     ArrayOrientation,
     ClusterDistribution,
     DegenerateNormalError,
+    DomainMismatchError,
     EvolutionParams,
     LedArray,
     Receiver,
@@ -23,7 +24,7 @@ from vlcsim import (
     default_config,
     gamma_table,
 )
-from vlcsim.geometry import AnglePair, sph_to_cart
+from vlcsim.geometry import direction
 from vlcsim.scene import (
     _weighted_index,
     assign_bounce,
@@ -172,7 +173,7 @@ def test_sample_cluster_geometry():
     assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-12)
     assert abs(normal[0]) < 1e-9
     # the scatterer cloud is centered on the cluster center
-    center0 = anchor + sph_to_cart(AnglePair(azimuth, elevation), distance)
+    center0 = anchor + distance * direction(azimuth, elevation)
     err = scatterers.mean(axis=0) - center0
     assert np.all(np.abs(err) < 5.0 / math.sqrt(100))
 
@@ -440,6 +441,20 @@ def test_gamma_table_monochromatic_shortcut():
     assert mono["plaster"] == pytest.approx(
         float(load_material("plaster").value_at(550.0))
     )
+
+
+@pytest.mark.parametrize("lo, hi, error, match", [
+    # a single wavelength past a material table: np.interp would clamp it
+    # to the reflectance at the table's end
+    (100.0, 100.0, DomainMismatchError, r"plaster.*\[380\.0, 780\.0\] nm, not 100\.0 nm"),
+    (379.5, 379.5, DomainMismatchError, r"not 379\.5 nm"),
+    (900.0, 900.0, DomainMismatchError, r"not 900\.0 nm"),
+    # a window that misses the LED spectrum
+    (100.0, 200.0, ValueError, r"\[100\.0, 200\.0\] nm.*\[380\.0, 780\.0\] nm"),
+])
+def test_gamma_table_outside_the_tables_raises(lo, hi, error, match):
+    with pytest.raises(error, match=match):
+        gamma_table("white", lo, hi, {"plaster": 1.0})
 
 
 def test_gamma_table_integrated_values():
