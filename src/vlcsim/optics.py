@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     DomainMismatchError,
@@ -85,9 +84,23 @@ class LambertianPattern:
 class TabulatedPattern:
     """Measured radiation pattern on a rectangular (elevation, azimuth) grid.
 
-    Values are interpolated bilinearly and treated as zero outside the
-    tabulated grid. Construction normalizes the table to unit forward
-    hemispherical power.
+    Each axis needs at least two points, strictly ascending or strictly
+    descending; a descending axis is flipped, with the table, at
+    construction. Construction also normalizes the table to unit forward
+    hemispherical power, so ``values`` holds the normalized table on
+    ascending axes.
+
+    ``intensity`` interpolates bilinearly in the bits of scipy's
+    ``RegularGridInterpolator(method="linear", bounds_error=False,
+    fill_value=0.0)``. A point takes the cell
+    ``i = searchsorted(axis, x, side="right") - 1``, clipped to the last
+    cell, and the weight ``tx = (x - axis[i]) / (axis[i+1] - axis[i])``
+    (``j`` and ``ty`` likewise on the other axis). The sum runs left to
+    right as ``v00*(1-tx)*(1-ty) + v01*(1-tx)*ty + v10*tx*(1-ty) +
+    v11*tx*ty``, with ``v01 = values[i, j+1]`` and so on. The azimuth is
+    first wrapped into [-pi, pi), which turns +-inf into NaN. A point
+    outside the grid, an infinite elevation included, gives zero; the
+    grid's edges are inside. A NaN coordinate gives NaN.
     """
 
     def __init__(self, elevation: np.ndarray, azimuth: np.ndarray, values: np.ndarray):
@@ -96,33 +109,76 @@ class TabulatedPattern:
         values = np.asarray(values, dtype=float)
         if values.shape != (elevation.size, azimuth.size):
             raise ValueError("pattern grid shape mismatch")
+        elevation, values = _ascending(elevation, values, 0, "elevation")
+        azimuth, values = _ascending(azimuth, values, 1, "azimuth")
         if np.any(values < 0.0):
             raise ValueError("pattern intensities must be non-negative")
         if not np.any(values > 0.0):
             raise EmptyPatternError("pattern has no positive entries")
         self.elevation = elevation
         self.azimuth = azimuth
-        self._set_values(values)
-        self._set_values(values / hemisphere_integral(self))
-
-    def _set_values(self, values):
-        self.values = values
-        self._interp = RegularGridInterpolator(
-            (self.elevation, self.azimuth), values, bounds_error=False, fill_value=0.0
-        )
+        self._steps = (np.diff(elevation), np.diff(azimuth))
+        self.values = values   # the integral reads the raw table through intensity
+        self.values = values / hemisphere_integral(self)
 
     def intensity(self, elevation, azimuth):
         el = np.asarray(elevation, dtype=float)
         az = np.mod(np.asarray(azimuth, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
         el, az = np.broadcast_arrays(el, az)
-        pts = np.stack([el.ravel(), az.ravel()], axis=-1)
-        out = self._interp(pts).reshape(el.shape)
+        x, y = el.ravel(), az.ravel()
+        gx, gy = self.elevation, self.azimuth
+        inside = (x >= gx[0]) & (x <= gx[-1]) & (y >= gy[0]) & (y <= gy[-1])
+        if inside.all():
+            out = self._bilinear(x, y)
+        else:
+            out = np.zeros(x.size)
+            out[np.isnan(x) | np.isnan(y)] = np.nan
+            out[inside] = self._bilinear(x[inside], y[inside])
+        out = out.reshape(el.shape)
         return out if out.ndim else float(out)
+
+    def _bilinear(self, x, y):
+        """Interpolated values at points inside the grid."""
+        i, tx = _cell(self.elevation, self._steps[0], x)
+        j, ty = _cell(self.azimuth, self._steps[1], y)
+        n = self.azimuth.size
+        k = i * n + j
+        v = self.values.ravel()
+        sx = 1.0 - tx
+        sy = 1.0 - ty
+        # v[a:].take(k) is values at flat index k + a
+        out = v.take(k) * sx * sy
+        out += v[1:].take(k) * sx * ty
+        out += v[n:].take(k) * tx * sy
+        out += v[n + 1:].take(k) * tx * ty
+        return out
 
     def __repr__(self):
         return (
             f"TabulatedPattern({self.elevation.size}x{self.azimuth.size} grid)"
         )
+
+
+def _ascending(axis, values, dim, name):
+    """A pattern grid axis and its table, flipped along ``dim`` if the
+    axis descends."""
+    if axis.ndim != 1 or axis.size < 2:
+        raise ValueError(f"pattern {name} axis needs at least 2 points")
+    step = np.diff(axis)
+    if np.all(step < 0.0):
+        return axis[::-1].copy(), np.flip(values, dim)
+    if not np.all(step > 0.0):
+        raise ValueError(f"pattern {name} axis must be strictly ascending or descending")
+    return axis, values
+
+
+def _cell(grid, steps, x):
+    """Cell index and upper-node weight of each x in [grid[0], grid[-1]];
+    ``steps`` is ``np.diff(grid)``."""
+    i = np.searchsorted(grid, x, side="right")
+    i -= 1
+    np.minimum(i, grid.size - 2, out=i)
+    return i, (x - grid.take(i)) / steps.take(i)
 
 
 def hemisphere_integral(pattern) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as spstats
 
 from .channel import ChannelMatrix, Cir, _snapshots, cir_snapshot
 from .errors import (
@@ -460,16 +459,27 @@ class ShadowingStats:
 def shadowing_stats(residuals) -> ShadowingStats:
     """Residual moments plus a KS check against the fitted Gaussian.
 
-    Uses the asymptotic 5% critical value 1.358/sqrt(n); needs >= 30
-    samples.
+    The KS distance is the two-sided statistic of
+    ``scipy.stats.kstest(r, "norm", args=(mean, std))``, computed from
+    ``scipy.special.ndtr`` in the same bits; scipy is imported here, on
+    the first call, and nowhere else in vlcsim. Uses the asymptotic 5%
+    critical value 1.358/sqrt(n); needs >= 30 finite samples that are
+    not all equal.
     """
     r = np.sort(np.asarray(residuals, dtype=float))
     n = r.size
     if n < 30:
         raise TooFewSamplesError("normality check needs at least 30 residuals")
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
     mean = float(r.mean())
     std = float(r.std(ddof=1))
-    ks = float(spstats.kstest(r, "norm", args=(mean, std)).statistic)
+    if std == 0.0 or r[0] == r[-1]:
+        raise DegenerateFitError("residuals have no spread")
+    from scipy.special import ndtr
+
+    c = ndtr((r - mean) / std)
+    ks = float(max((np.arange(1.0, n + 1) / n - c).max(), (c - np.arange(0.0, n) / n).max()))
     crit = 1.358 / math.sqrt(n)
     return ShadowingStats(
         mean=mean,

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,38 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, str(readme), "exec"), namespace)
     assert "DC gain" in capsys.readouterr().out
     assert namespace["moving"].data["receiver"]["speed_m_s"] == 0.5
+
+
+_SCIPY_FREE = """
+import runpy
+import sys
+
+import vlcsim
+from vlcsim import cir_snapshot, loads_config
+from vlcsim.optics import _DATA_DIR, load_pattern
+
+cfg = loads_config("ensemble:\\n  master_seed: 3\\n")
+load_pattern(_DATA_DIR / "pattern_narrow.csv").intensity([0.1, 2.0], [0.2, 0.3])
+cir_snapshot(1, 1, 1, cfg.build_scene(seed=1), t=0.0)
+sys.argv = ["vlcsim", "--list"]
+try:
+    runpy.run_module("vlcsim", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("before:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+vlcsim.shadowing_stats([float(k % 7) for k in range(30)])
+print("after:", "scipy.special" in sys.modules)
+"""
+
+
+def test_only_shadowing_stats_imports_scipy():
+    # scipy's import costs more than the rest of a run's set-up, so only
+    # the one function that needs it may load it, on its first call
+    src = str(Path(vlcsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "ccf-space: " in proc.stdout
+    assert lines[-2:] == ["before: []", "after: True"]

@@ -243,6 +243,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "word.csv": _PATTERN_HEAD + "0,0,1\n0,10,one\n10,0,1\n10,10,1\n",
         "dark.csv": _PATTERN_HEAD + "0,0,0\n0,10,0\n10,0,0\n10,10,0\n",
         "infinite.csv": _PATTERN_HEAD + "0,0,1\n0,10,inf\n10,0,1\n10,10,1\n",
+        "one_elevation.csv": _PATTERN_HEAD + "0,0,1\n0,10,1\n",
     }
     leds = {
         "one_row.csv": _LED_HEAD + "500,1\n",

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from vlcsim import (
     DomainMismatchError,
@@ -88,6 +90,22 @@ def test_tabulated_pattern_validation():
         TabulatedPattern(el, az, -np.ones((5, 7)))
     with pytest.raises(EmptyPatternError):
         TabulatedPattern(el, az, np.zeros((5, 7)))
+    # each axis: at least two points, strictly monotonic, no NaN
+    values = np.ones((5, 7))
+    bumpy = az.copy()
+    bumpy[3] = bumpy[2]
+    holed = el.copy()
+    holed[1] = np.nan
+    for e, a, v, what in [
+        (el, bumpy, values, "azimuth axis must be strictly"),
+        (el[[0, 2, 1, 3, 4]], az, values, "elevation axis must be strictly"),
+        (holed, az, values, "elevation axis must be strictly"),
+        (el[:1], az, values[:1], "elevation axis needs at least 2 points"),
+        (el, az[:1], values[:, :1], "azimuth axis needs at least 2 points"),
+        (el.reshape(1, 5), az, values, "elevation axis needs at least 2 points"),
+    ]:
+        with pytest.raises(ValueError, match=what):
+            TabulatedPattern(e, a, v)
 
 
 def test_tabulated_pattern_scale_invariant():
@@ -100,6 +118,77 @@ def test_tabulated_pattern_scale_invariant():
     a = TabulatedPattern(el, az, lum / 250.0)
     b = TabulatedPattern(el, az, lum)
     assert np.allclose(a.values, b.values, rtol=1e-12)
+
+
+def _scipy_intensity(elevation, azimuth, values):
+    """The pattern lookup as it was on scipy: the oracle for the numpy one."""
+    rgi = RegularGridInterpolator((elevation, azimuth), values, bounds_error=False,
+                                  fill_value=0.0)
+
+    def intensity(el, az):
+        az = np.mod(np.asarray(az, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+        el, az = np.broadcast_arrays(np.asarray(el, dtype=float), az)
+        return rgi(np.stack([el.ravel(), az.ravel()], axis=-1)).reshape(el.shape)
+
+    return intensity
+
+
+def _raw_table(name):
+    rows = np.loadtxt(_DATA_DIR / name, delimiter=",", skiprows=1)
+    el = np.unique(rows[:, 0])
+    az = np.unique(rows[:, 1])
+    return np.deg2rad(el), np.deg2rad(az), rows[:, 2].reshape(el.size, az.size)
+
+
+def _probe_points(table, rng):
+    el, az = table.elevation, table.azimuth
+    ee, aa = np.meshgrid(el, az, indexing="ij")
+    edges = [el[0], el[-1], az[0], az[-1]]
+    near = [np.nextafter(e, s * np.inf) for e in edges for s in (-1, 1)]
+    odd = np.array(edges + near + [0.0, 2.0, -2.0, np.nan, np.inf, -np.inf])
+    oe, oa = np.meshgrid(odd, odd, indexing="ij")
+    pts_el = np.concatenate([rng.uniform(-2.0, 2.0, 20000), ee.ravel(), oe.ravel()])
+    pts_az = np.concatenate([rng.uniform(-4.0, 4.0, 20000), aa.ravel(), oa.ravel()])
+    return pts_el, pts_az
+
+
+# an infinite azimuth wraps to NaN, with numpy's warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+@pytest.mark.parametrize("name", ["pattern_narrow.csv", "pattern_batwing.csv"])
+def test_tabulated_pattern_matches_scipy_bit_for_bit(name):
+    el, az, raw = _raw_table(name)
+    table = load_pattern(_DATA_DIR / name)
+    oracle = SimpleNamespace(intensity=_scipy_intensity(el, az, raw))
+    want_values = raw / hemisphere_integral(oracle)
+    assert np.array_equal(table.values.view(np.uint64), want_values.view(np.uint64))
+    pts_el, pts_az = _probe_points(table, np.random.default_rng(11))
+    got = table.intensity(pts_el, pts_az)
+    want = _scipy_intensity(el, az, table.values)(pts_el, pts_az)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got).any() and (got == 0.0).any()
+    # a scalar point gives a float with the bits of the array lookup
+    for k in range(0, pts_el.size, 997):
+        one = table.intensity(pts_el[k], pts_az[k])
+        assert isinstance(one, float)
+        assert np.array_equal(np.float64(one).view(np.uint64), want[k].view(np.uint64))
+
+
+# an infinite azimuth wraps to NaN, with numpy's warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+def test_tabulated_pattern_flips_a_descending_axis():
+    el, az, raw = _raw_table("pattern_batwing.csv")
+    raw = raw * np.linspace(1.0, 2.0, az.size)   # not symmetric in azimuth
+    up = TabulatedPattern(el, az, raw)
+    down = TabulatedPattern(el[::-1], az[::-1], raw[::-1, ::-1])
+    assert np.array_equal(down.elevation, el) and np.array_equal(down.azimuth, az)
+    assert np.array_equal(down.values.view(np.uint64), up.values.view(np.uint64))
+    pts_el, pts_az = _probe_points(up, np.random.default_rng(12))
+    got = down.intensity(pts_el, pts_az)
+    # scipy flips a descending axis too, and normalises the same raw table
+    oracle = SimpleNamespace(intensity=_scipy_intensity(el[::-1], az[::-1], raw[::-1, ::-1]))
+    scale = hemisphere_integral(oracle)
+    want = _scipy_intensity(el[::-1], az[::-1], raw[::-1, ::-1] / scale)(pts_el, pts_az)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ["pattern_narrow.csv", "pattern_batwing.csv"])

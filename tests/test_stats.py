@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 import oracles
 import vlcsim.stats
@@ -325,6 +326,26 @@ def test_shadowing_stats_skewed_fails():
 def test_shadowing_stats_guards():
     with pytest.raises(TooFewSamplesError):
         shadowing_stats(np.zeros(29))
+    # no spread: the fitted Gaussian has no CDF to test against
+    for flat in (np.zeros(30), np.full(40, 0.1)):
+        with pytest.raises(DegenerateFitError):
+            shadowing_stats(flat)
+    for bad in (np.nan, np.inf, -np.inf):
+        r = np.linspace(-1.0, 1.0, 30)
+        r[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shadowing_stats(r)
+
+
+def test_shadowing_stats_matches_kstest_bit_for_bit():
+    rng = np.random.default_rng(SEED + 4)
+    for k in range(200):
+        n = int(rng.integers(30, 400))
+        r = [rng.normal(0.0, 2.0, n), rng.exponential(2.0, n),
+             np.round(rng.normal(0.0, 1.0, n), 1),     # many tied values
+             40.0 + 1e-3 * rng.uniform(-1.0, 1.0, n)][k % 4]
+        out = shadowing_stats(r)
+        assert out.ks_distance == kstest(r, "norm", args=(out.mean, out.std)).statistic
 
 
 def test_complex_sem_real_samples():
