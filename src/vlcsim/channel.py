@@ -11,19 +11,20 @@ Indices i, j, p are 1-based throughout, matching the element grid.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, optics
 from .errors import ZeroDistanceError
-from .scene import Scene, SceneSnapshot, _Block
+from .scene import Scene
 
 SPEED_OF_LIGHT = 2.99792458e8
 _STACK_BLOCK = 8   # element-instants per stacked pass where only the receiver moves
@@ -165,12 +166,12 @@ class _TxHalf(NamedTuple):
     mid: np.ndarray | None
 
 
-def _tx_half(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind):
-    """The LED-side half of the rays from element (i, j) through ``idx``."""
-    scene = snapshot.scene
+def _tx_half(block: _Block, t: float, i: int, j: int, idx: np.ndarray, kind: TapKind):
+    """The LED-side half of the rays from element (i, j) through ``idx`` at time ``t``."""
+    scene = block.scene
     led = scene.array.element_position(i, j)
 
-    s_a, normal_a, gamma_a = scene.tx.take(idx, snapshot.time)   # (n, m, 3)
+    s_a, normal_a, gamma_a = scene.tx.take(idx, t)   # (n, m, 3)
     m = s_a.shape[1]
     s_a = s_a.reshape(-1, 3)
     normal_a = np.repeat(normal_a, m, axis=0)
@@ -188,7 +189,7 @@ def _tx_half(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: Tap
               / np.where(d_t > 0, d_t, 1.0) ** 2 * gamma_a)
     exit_point, exit_normal, d_s, mid = s_a, normal_a, None, None
     if kind == TapKind.DB:
-        s_z, normal_z, gamma_z = scene.rx.take(scene.partner[idx], snapshot.time)
+        s_z, normal_z, gamma_z = scene.rx.take(scene.partner[idx], t)
         m_z = s_z.shape[1]
         cols = np.arange(m) % m_z               # index-aligned pairing
         s_z = s_z[:, cols, :].reshape(-1, 3)
@@ -220,10 +221,11 @@ def _tx_half(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: Tap
                    None if d_s is None else d_s.take(live), None if mid is None else mid.take(live))
 
 
-def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: TapKind,
+def _bounce_leg(block: _Block, t: float, i: int, j: int, idx: np.ndarray, kind: TapKind,
                 rx: np.ndarray) -> _Leg:
     """The rays through the clusters ``idx`` at each receiver position of
-    ``rx`` (K, 3), up to the detector.
+    ``rx`` (K, 3), up to the detector, with the clusters where they are
+    at time ``t``.
 
     Drops rays that meet a zero distance or a back face at exit or that
     carry no power before the detector; what is left holds for every
@@ -235,13 +237,13 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: 
     come from :func:`geometry._norms` and :func:`geometry._dots`, so each
     value has the bits of the same ray's row in ``(N, 3)`` arrays.
     """
-    halves = snapshot._block.tx_halves
+    halves = block.tx_halves
     if halves is None:
-        tx = _tx_half(snapshot, i, j, idx, kind)
+        tx = _tx_half(block, t, i, j, idx, kind)
     else:
         tx = halves.get((i, j, kind))
         if tx is None:
-            tx = halves[(i, j, kind)] = _tx_half(snapshot, i, j, idx, kind)
+            tx = halves[(i, j, kind)] = _tx_half(block, t, i, j, idx, kind)
 
     vec = rx.T[:, :, None] - tx.exit_point[:, None, :]    # (3, K, n)
     d_r = geometry._norms(vec)
@@ -250,7 +252,7 @@ def _bounce_leg(snapshot: SceneSnapshot, i: int, j: int, idx: np.ndarray, kind: 
     u = np.divide(vec, d_r1, out=vec)
     cos_out = geometry._dots(u, tx.exit_normal)
     keep &= cos_out >= 0.0
-    head = tx.prefix * (np.maximum(cos_out, 0.0) / math.pi) * snapshot.scene.receiver.area
+    head = tx.prefix * (np.maximum(cos_out, 0.0) / math.pi) * block.scene.receiver.area
     keep &= head > 0.0   # a zero head gives zero power at every detector
     delay = tx.d_t + d_r
     if tx.d_s is not None:
@@ -294,20 +296,16 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-@functools.cache
-def _all_elements(rows: int, cols: int) -> tuple:
-    return tuple((i, j) for i in range(1, rows + 1) for j in range(1, cols + 1))
-
-
-def _layout(snapshot: SceneSnapshot, positions: tuple, elements: tuple) -> _Layout:
+def _layout(block: _Block, t: float, positions: tuple, elements: tuple) -> _Layout:
     """The LoS, SB and DB legs of ``elements`` at the instants
-    ``positions`` of the snapshot's block, computed for all of those
-    instants at once. A bounce leg without a visible cluster is left
-    out. A bounce leg reads its LED-side half from the block (see
-    :func:`_bounce_leg`).
+    ``positions`` of ``block``, computed for all of those instants at
+    once, with the clusters where they are at time ``t``, one of those
+    instants (clusters drift only in a block of one instant). A bounce
+    leg without a visible cluster is left out. A bounce leg reads its
+    LED-side half from the block (see :func:`_bounce_leg`).
     """
-    scene = snapshot.scene
-    rx = snapshot._block.rx_positions[list(positions)]
+    scene = block.scene
+    rx = block.rx_positions[list(positions)]
     legs, firsts = [], []   # firsts: each element's LoS leg
     for i, j in elements:
         vis = scene.visible_indices(i, j)
@@ -316,7 +314,7 @@ def _layout(snapshot: SceneSnapshot, positions: tuple, elements: tuple) -> _Layo
         legs.append(_los_leg(scene, i, j, rx))
         for idx, kind in ((vis[~db], TapKind.SB), (vis[db], TapKind.DB)):
             if idx.size:
-                legs.append(_bounce_leg(snapshot, i, j, idx, kind, rx))
+                legs.append(_bounce_leg(block, t, i, j, idx, kind, rx))
 
     keep = _joined([leg.keep for leg in legs])   # (K, all rays)
     flat = np.flatnonzero(keep)
@@ -397,50 +395,76 @@ def _finish(layout: _Layout, normals: list, optics_cfg):
     return fields, cuts
 
 
-def cir_snapshot(
-    i: int,
-    j: int,
-    p: int,
-    scene: Scene,
-    t: float,
-    snapshot: SceneSnapshot | None = None,
-) -> Cir:
+@dataclass(eq=False)
+class _Block:
+    """What the calls for some instants of one scene share while
+    :func:`cir_snapshot` evaluates them; :func:`_cirs` decides which
+    calls share one.
+
+    A call names its instant by its position in ``times``. ``elements``
+    holds every element of the array where a call finishes every element
+    of its instants, and is empty where a call finishes only its own; the
+    scope of a finish is None or ``(i, j)`` accordingly. ``wanted`` maps
+    ``(scope, p)`` to the positions whose calls will ask for that finish,
+    so the first of them evaluates them all in one stacked pass.
+    ``tx_halves`` maps ``(i, j, kind)`` to the LED-side half of a bounce
+    leg, or is None where no other layout will need a half again.
+    ``layouts`` maps ``(scope, positions)`` to a ray layout and
+    ``finished`` maps ``(scope, p, position)`` to the finish that holds
+    that instant's taps.
+    """
+
+    scene: Scene
+    times: tuple
+    elements: tuple = ()
+    wanted: dict = field(default_factory=dict)
+    tx_halves: dict | None = None
+    layouts: dict = field(default_factory=dict)
+    finished: dict = field(default_factory=dict)
+
+    @cached_property
+    def rx_positions(self) -> np.ndarray:
+        return self.scene.receiver.position_at(np.array(self.times))
+
+    @cached_property
+    def pd_normals(self) -> list[list[np.ndarray]]:
+        return [self.scene.receiver.pd_normals(t) for t in self.times]
+
+
+def _sub_channel(i, j, p) -> tuple[int, int, int]:
+    """``(i, j, p)`` as plain ints; a bool or another non-integer raises
+    ``ValueError``."""
+    if not (isinstance(i, bool) or isinstance(j, bool) or isinstance(p, bool)):
+        try:
+            return operator.index(i), operator.index(j), operator.index(p)
+        except TypeError:
+            pass
+    raise ValueError(f"sub-channel ({i!r}, {j!r}, {p!r}) needs integer indices")
+
+
+def cir_snapshot(i: int, j: int, p: int, scene: Scene, t: float, *, _shared=None) -> Cir:
     """Impulse response of sub-channel (i, j, p) at time ``t``.
 
-    ``i``, ``j`` and ``p`` run from 1 to the array's rows, its columns
-    and the receiver's detector count; others raise ``ValueError``.
-    The rays run through the clusters ``scene.visibility`` marks at
-    element (i, j); for another mask of the same shape, pass
-    ``dataclasses.replace(scene, visibility=mask)``. Calls at one
-    instant can share one ``snapshot = scene.at(t)`` (one of another
-    scene or time raises ``ValueError``) and with it the receiver
-    position, the detector normals and the layout of the
-    detector-independent part of every ray, for example across the
-    detectors of an angle-diversity head. A call finishes the rays of
-    its own element only, unless the snapshot comes from
-    :func:`channel_over_time`: then the first call at a detector
-    finishes every element of the instant and the others read their
-    share. Where the snapshot's block (see :func:`_snapshots`) holds
-    other instants that will ask for the same finish, the first call
-    evaluates all of them in one stacked pass. Every result has the bits
-    of a lone call.
+    ``i``, ``j`` and ``p`` are integers from 1 to the array's rows, its
+    columns and the receiver's detector count; others raise
+    ``ValueError``, and so does a non-finite ``t``. The rays run through
+    the clusters ``scene.visibility`` marks at element (i, j); for
+    another mask of the same shape, pass
+    ``dataclasses.replace(scene, visibility=mask)``. Only :func:`_cirs`
+    passes ``_shared``, the ``(block, position)`` of a call whose work it
+    shares with other calls; every result has the bits of a lone call.
     """
+    i, j, p = _sub_channel(i, j, p)
     rows, cols, n_pd = scene.array.rows, scene.array.cols, scene.receiver.n_pd
     if not (1 <= i <= rows and 1 <= j <= cols and 1 <= p <= n_pd):
         raise ValueError(f"sub-channel ({i}, {j}, {p}) is out of range: i runs 1..{rows}, "
                          f"j 1..{cols} and p 1..{n_pd}")
+    t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time t = {t} is not finite")
-    if snapshot is not None and snapshot.scene is not scene:
-        raise ValueError(f"snapshot belongs to another scene (seed {snapshot.scene.seed}) "
-                         f"than the one of this call (seed {scene.seed})")
-    if snapshot is not None and snapshot.time != t:
-        raise ValueError(f"snapshot is at time {snapshot.time}, the call at t = {t}")
-    if snapshot is None:
-        snapshot = scene.at(t)
-    block, q = snapshot._block, snapshot._position
-    if block.finish_all:   # the layout holds every element
-        elements, e, scope = _all_elements(rows, cols), (i - 1) * cols + j - 1, None
+    block, q = (_Block(scene, (t,)), 0) if _shared is None else _shared
+    if block.elements:   # the layout holds every element
+        elements, e, scope = block.elements, (i - 1) * cols + j - 1, None
     else:
         elements, e, scope = ((i, j),), 0, (i, j)
     done = block.finished.get((scope, p, q))
@@ -450,7 +474,7 @@ def cir_snapshot(
             positions = (q,)
         layout = block.layouts.get((scope, positions))
         if layout is None:
-            layout = block.layouts[(scope, positions)] = _layout(snapshot, positions, elements)
+            layout = block.layouts[(scope, positions)] = _layout(block, t, positions, elements)
         normals = [block.pd_normals[k][p - 1] for k in positions]
         fields, cuts = _finish(layout, normals, scene.receiver.optics)
         for r, k in enumerate(positions):
@@ -470,17 +494,16 @@ class ChannelMatrix:
     cirs: dict
 
 
-def _snapshots(scene: Scene, times, links=None) -> Iterator[SceneSnapshot]:
-    """Yields one snapshot of ``scene`` per instant of ``times``, sharing
-    what stays the same across them.
-
-    ``links[k]`` lists the sub-channels (i, j, p) the caller will ask for
-    at ``times[k]``. Without ``links`` it asks for every sub-channel at
-    every instant, and each call finishes every element of its instant
-    at once (see :func:`cir_snapshot`).
+def _cirs(scene: Scene, times, links=None) -> Iterator[tuple[int, tuple, Cir]]:
+    """Yields ``(k, (i, j, p), cir)`` for each sub-channel ``links[k]``
+    lists at ``times[k]``, instant by instant and in the order of
+    ``links[k]``, from one :func:`cir_snapshot` call each. Without
+    ``links`` it yields every sub-channel at every instant, element-major,
+    and the first call of an instant at a detector finishes every element
+    at once. Every CIR has the bits of a lone call.
 
     Where nothing moves (receiver speed and cluster velocities zero) the
-    snapshots share one layout dict, so a rotating receiver recomputes
+    instants share one layout dict, so a rotating receiver recomputes
     only the detector incidence. Where only the receiver moves, they
     share one dict of LED-side bounce halves, which nothing else keeps
     (a layout is built once where nothing moves), and come in blocks of
@@ -488,28 +511,31 @@ def _snapshots(scene: Scene, times, links=None) -> Iterator[SceneSnapshot]:
     block: the first call for a finish evaluates it at every instant of
     the block that will ask for it, in one stacked pass, and the later
     calls read their share. Drifting clusters share nothing: each
-    instant is a block of its own. A block is made when its first
-    snapshot is asked for, so a caller that drops the snapshots frees
-    it; nothing they share outlives them and the generator.
+    instant is a block of its own. A block is made when its first CIR is
+    asked for, and nothing the calls share outlives the generator.
     """
     drifting = bool(scene.tx.velocity.any() or scene.rx.velocity.any())
     moving = drifting or scene.receiver.speed != 0
-    every = [(None, p) for p in range(1, scene.receiver.n_pd + 1)]
-    size = _STACK_BLOCK // (scene.array.rows * scene.array.cols if links is None else 1)
-    size = max(size, 1) if moving and not drifting else 1
+    stacked = moving and not drifting
+    elements = tuple(itertools.product(range(1, scene.array.rows + 1),
+                                       range(1, scene.array.cols + 1)))
+    every = [(i, j, p) for i, j in elements for p in range(1, scene.receiver.n_pd + 1)]
+    size = max(_STACK_BLOCK // (len(elements) if links is None else 1), 1) if stacked else 1
     layouts: dict = {}
-    halves = {} if moving and not drifting else None
+    halves = {} if stacked else None
     for start in range(0, len(times), size):
         chunk = tuple(times[start:start + size])
+        plan = [every if links is None else links[start + q] for q in range(len(chunk))]
         wanted: dict = {}
-        for q in range(len(chunk)):
-            keys = every if links is None else [((i, j), p) for i, j, p in links[start + q]]
-            for key in keys:
-                wanted.setdefault(key, []).append(q)
-        block = _Block(scene, chunk, {key: tuple(qs) for key, qs in wanted.items()},
-                       links is None, halves, {} if moving else layouts)
-        for q, t in enumerate(chunk):
-            yield SceneSnapshot(scene, t, block, q)
+        for q, asked in enumerate(plan):
+            for i, j, p in asked:
+                wanted.setdefault((None if links is None else (i, j), p), {})[q] = None
+        block = _Block(scene, chunk, elements if links is None else (),
+                       {key: tuple(qs) for key, qs in wanted.items()}, halves,
+                       {} if moving else layouts)
+        for q, asked in enumerate(plan):
+            for link in asked:
+                yield start + q, link, cir_snapshot(*link, scene, chunk[q], _shared=(block, q))
 
 
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
@@ -525,9 +551,8 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     recomputes just the detector incidence. A scene whose receiver
     moves past static clusters builds the LED-side half of each bounce
     leg (up to the exit scatterer) once per call and evaluates its
-    instants in stacked blocks (see :func:`_snapshots`); drifting
-    clusters get fresh legs at each instant. Nothing stays cached after
-    the call.
+    instants in stacked blocks (see :func:`_cirs`); drifting clusters
+    get fresh legs at each instant. Nothing stays cached after the call.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
@@ -536,12 +561,7 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"time t = {t} is not finite")
-    out = []
-    for t, snapshot in zip(times, _snapshots(scene, times)):
-        cirs = {}
-        for i in range(1, scene.array.rows + 1):
-            for j in range(1, scene.array.cols + 1):
-                for p in range(1, scene.receiver.n_pd + 1):
-                    cirs[(i, j, p)] = cir_snapshot(i, j, p, scene, t, snapshot=snapshot)
-        out.append(ChannelMatrix(t, cirs))
+    out = [ChannelMatrix(t, {}) for t in times]
+    for k, link, cir in _cirs(scene, times):
+        out[k].cirs[link] = cir
     return out

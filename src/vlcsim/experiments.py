@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from ._version import __version__
-from .channel import Cir, channel_over_time, cir_snapshot
+from .channel import Cir, _cirs, channel_over_time, cir_snapshot
 from .config import SimulationConfig, config_hash, default_config
 from .errors import ConfigValidationError, UnknownExperimentError
 
@@ -294,10 +294,9 @@ def _rms_adr(cfg, n_runs):
     })
 
     def worker(k, s):
-        scene = eff.build_scene(s)
-        snapshot = scene.at(0.0)   # the three detectors share its ray legs
-        return [_rms_or_nan(cir_snapshot(1, 1, pd, scene, 0.0, snapshot=snapshot))
-                for pd in (1, 2, 3)]
+        # the three detectors share one layout of element (1, 1)'s rays
+        plan = [[(1, 1, pd) for pd in (1, 2, 3)]]
+        return [_rms_or_nan(cir) for *_, cir in _cirs(eff.build_scene(s), [0.0], plan)]
 
     per_run = ensemble_map(worker, eff.run_seeds(n_runs))
     rows = []

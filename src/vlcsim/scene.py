@@ -38,7 +38,6 @@ __all__ = [
     "LedArray",
     "Receiver",
     "Scene",
-    "SceneSnapshot",
     "assign_bounce",
     "build_scene",
     "evolve_visibility",
@@ -452,72 +451,6 @@ def _draw_cluster(
 
 # === the scene ===
 
-@dataclass(eq=False)
-class _Block:
-    """What the snapshots of some instants of one scene share while
-    :func:`vlcsim.channel.cir_snapshot` evaluates them; see
-    :func:`vlcsim.channel._snapshots` for who shares one.
-
-    ``times`` holds the instants, a snapshot's ``_position`` indexes
-    them. ``finish_all`` makes a call finish every element of its
-    instants, not just its own; a scope is ``(i, j)`` for a call's own
-    element, or None for every element. ``wanted`` maps ``(scope, p)``
-    to the positions whose calls will ask for that finish, so the first
-    of them evaluates them all in one stacked pass. ``tx_halves`` maps
-    ``(i, j, kind)`` to the LED-side half of a bounce leg, or is None
-    where no other layout will need a half again. ``layouts`` maps
-    ``(scope, positions)`` to a ray layout and ``finished`` maps
-    ``(scope, p, position)`` to the finish that holds that instant's
-    taps.
-    """
-
-    scene: "Scene"
-    times: tuple
-    wanted: dict = field(default_factory=dict)
-    finish_all: bool = False
-    tx_halves: dict | None = None
-    layouts: dict = field(default_factory=dict)
-    finished: dict = field(default_factory=dict)
-
-    @cached_property
-    def rx_positions(self) -> np.ndarray:
-        return self.scene.receiver.position_at(np.array(self.times))
-
-    @cached_property
-    def pd_normals(self) -> list[list[np.ndarray]]:
-        return [self.scene.receiver.pd_normals(t) for t in self.times]
-
-
-@dataclass(frozen=True, eq=False)
-class SceneSnapshot:
-    """The receiver position and detector normals of a scene at one instant.
-
-    ``_block`` holds what :func:`vlcsim.channel.cir_snapshot` builds for
-    it and shares with the snapshots of other instants (see
-    :class:`_Block`); ``_position`` is its instant's index there.
-    :meth:`Scene.at` gives each snapshot a block of its own instant, so
-    calls that share the snapshot share its ray layouts, for example
-    the detectors of an angle-diversity head.
-    """
-
-    scene: "Scene"
-    time: float
-    _block: _Block | None = field(default=None, repr=False)
-    _position: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        if self._block is None:
-            object.__setattr__(self, "_block", _Block(self.scene, (self.time,)))
-
-    @property
-    def rx_position(self) -> np.ndarray:
-        return self._block.rx_positions[self._position]
-
-    @property
-    def pd_normals(self) -> list[np.ndarray]:
-        return self._block.pd_normals[self._position]
-
-
 @dataclass(frozen=True, eq=False)
 class Scene:
     """One realization of the random propagation environment."""
@@ -533,9 +466,6 @@ class Scene:
     partner: np.ndarray
     seed: int
     fingerprint: str = ""
-
-    def at(self, t: float) -> SceneSnapshot:
-        return SceneSnapshot(self, t)
 
     def visible_indices(self, i: int, j: int) -> np.ndarray:
         """Indices of clusters visible at element (i, j); 1-based element."""

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, Cir, _snapshots, cir_snapshot
+from .channel import ChannelMatrix, Cir, _cirs, _sub_channel, cir_snapshot
 from .errors import (
     ConfigMismatchError,
     DegenerateFitError,
@@ -98,7 +98,7 @@ def transfer(
     freqs,
 ) -> np.ndarray:
     """H(t, f) of one sub-channel directly from a scene (empty CIR -> 0)."""
-    i, j, p = link
+    i, j, p = _link(link)
     cir = cir_snapshot(i, j, p, scene, t)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     return _response(cir.powers, cir.delays, freqs)
@@ -175,13 +175,15 @@ def stfcf(
 
     ``dt_lags`` and ``df_lags`` broadcast against each other into one lag
     axis. Each scene's CIRs at the anchor ``t`` and at each distinct
-    ``t + dt`` come from snapshots that share what stays the same across
-    those instants: for a receiver moving past static clusters, the
-    LED-side half of every bounce leg is built once per scene and call,
-    and blocks of consecutive instants are evaluated in stacked passes.
-    Every CIR has the bits of a lone ``cir_snapshot(..., scene, t + dt)``.
-    A non-finite ``t``, ``f`` or lag, lags that are not 1-D and links
-    outside the array or the detector head raise ``ValueError``.
+    ``t + dt`` share what stays the same across those instants: for a
+    receiver moving past static clusters, the LED-side half of every
+    bounce leg is built once per scene and call, and blocks of
+    consecutive instants are evaluated in stacked passes. Every CIR has
+    the bits of a lone ``cir_snapshot(..., scene, t + dt)``. A link that
+    is not three integers raises ``ValueError`` before any scene is
+    evaluated; so do a non-finite ``t``, ``f`` or lag and lags that are
+    not 1-D. A link outside the array or the detector head raises
+    ``ValueError`` too.
     This is the one-request case of :func:`stfcf_many`, which shares all
     of that across several estimates of one ensemble.
     """
@@ -202,7 +204,17 @@ class _Request(NamedTuple):
     groups: list
 
 
+def _link(link) -> tuple[int, int, int]:
+    """``link`` as three plain ints (see :func:`cir_snapshot`), or ``ValueError``."""
+    try:
+        i, j, p = link
+    except (TypeError, ValueError):
+        raise ValueError(f"link {link!r} is not three integers (i, j, p)") from None
+    return _sub_channel(i, j, p)
+
+
 def _request(link, other_link, t, f, dt_lags, df_lags) -> _Request:
+    link, other_link = _link(link), _link(other_link)
     dt_arr = np.asarray(dt_lags, dtype=float)
     df_arr = np.asarray(df_lags, dtype=float)
     for name, lags in (("dt_lags", dt_arr), ("df_lags", df_arr)):
@@ -221,7 +233,7 @@ def _request(link, other_link, t, f, dt_lags, df_lags) -> _Request:
     for dt_u in np.unique(dt_arr):
         sel = dt_arr == dt_u
         groups.append((t + dt_u, sel, f + df_arr[sel]))
-    return _Request(tuple(link), tuple(other_link), t, f, dt_arr, df_arr, groups)
+    return _Request(link, other_link, t, f, dt_arr, df_arr, groups)
 
 
 def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
@@ -231,13 +243,12 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
     dt_lags, df_lags)`` of :func:`stfcf`; the series returned for it
     equals that call's, field for field. Per scene, one pass over the
     distinct instants of all requests evaluates each distinct (link,
-    instant) CIR once, on snapshots that follow :func:`stfcf`'s sharing
-    rule, so for a receiver moving past static clusters each LED-side
-    half is built once per scene for all requests. The plan tells those
-    snapshots which links each instant will ask for, so a stacked pass
-    over a block of instants evaluates just those (link, instant) pairs.
-    Only the current block's snapshots and the scene's H values are kept
-    while it runs.
+    instant) CIR once, sharing as :func:`stfcf` does, so for a receiver
+    moving past static clusters each LED-side half is built once per
+    scene for all requests. The plan it hands :func:`vlcsim.channel._cirs`
+    names the links of each instant, so a stacked pass over a block of
+    instants evaluates just those (link, instant) pairs. Only the
+    current block and the scene's H values are kept while it runs.
     """
     scenes = _check_ensemble(scenes)
     plans = [_request(*request) for request in requests]
@@ -247,6 +258,7 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
         uses.setdefault(plan.t, {}).setdefault(plan.link, []).append((r, None))
         for g, (t2, _, _) in enumerate(plan.groups):
             uses.setdefault(t2, {}).setdefault(plan.other_link, []).append((r, g))
+    instants, consumers = list(uses), list(uses.values())
 
     n = len(scenes)
     products = [np.empty((n, plan.dt.size), dtype=complex) for plan in plans]
@@ -254,15 +266,13 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
     for k, scene in enumerate(scenes):
         h1 = [None] * len(plans)
         h2 = [[None] * len(plan.groups) for plan in plans]
-        for t2, snapshot in zip(uses, _snapshots(scene, list(uses), list(uses.values()))):
-            for (i, j, p), consumers in uses[t2].items():
-                cir = cir_snapshot(i, j, p, scene, t2, snapshot=snapshot)
-                for r, g in consumers:
-                    if g is None:
-                        f_arr = np.array([plans[r].f], dtype=float)
-                        h1[r] = _response(cir.powers, cir.delays, f_arr)[0]
-                    else:
-                        h2[r][g] = _response(cir.powers, cir.delays, plans[r].groups[g][2])
+        for q, link, cir in _cirs(scene, instants, consumers):   # each dict lists its links
+            for r, g in consumers[q][link]:
+                if g is None:
+                    f_arr = np.array([plans[r].f], dtype=float)
+                    h1[r] = _response(cir.powers, cir.delays, f_arr)[0]
+                else:
+                    h2[r][g] = _response(cir.powers, cir.delays, plans[r].groups[g][2])
         for r, plan in enumerate(plans):
             zero_products[r][k] = h1[r] * np.conj(h1[r])
             for (_, sel, _), h in zip(plan.groups, h2[r]):

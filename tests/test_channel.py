@@ -27,6 +27,7 @@ from vlcsim import (
     channel_over_time,
     cir_snapshot,
     default_config,
+    run_experiment,
     stfcf_many,
     transfer,
 )
@@ -277,10 +278,7 @@ def test_los_tap_none_when_element_faces_away():
     })
     scene = cfg.build_scene(1)
     assert _los_cir(scene, 0.0).powers.size == 0
-    snapshot = scene.at(0.0)
-    kinds = np.concatenate([
-        cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot).kinds for p in (1, 2, 3)
-    ])
+    kinds = np.concatenate([cir_snapshot(1, 1, p, scene, 0.0).kinds for p in (1, 2, 3)])
     assert int(TapKind.LOS) not in kinds
     assert int(TapKind.SB) in kinds and int(TapKind.DB) in kinds
 
@@ -313,13 +311,12 @@ def test_cir_snapshot_matches_reference_sums():
     scene = cfg.build_scene(77)
     i, j, t = 2, 1, 0.3
     cir = cir_snapshot(i, j, 1, scene, t)
-    snap = scene.at(t)
 
     orientation = scene.array.orientation
     frame = oracles.frame_from_axes(*orientation)
     led = scene.array.element_position(i, j)
-    rx = snap.rx_position
-    n_pd = snap.pd_normals[0]
+    rx = scene.receiver.position_at(t)
+    n_pd = scene.receiver.pd_normals(t)[0]
     fov = scene.receiver.optics.fov
     area_pd = scene.receiver.area
 
@@ -363,6 +360,11 @@ def test_cir_snapshot_structure():
     scene = default_config().merged(SMALL).build_scene(11)
     cir = cir_snapshot(1, 2, 1, scene, 0.0)
     assert cir.element == (1, 2) and cir.pd == 1 and cir.time == 0.0
+    # numpy integers and a 0-d time give plain ints and a float
+    same = cir_snapshot(np.int64(1), 2, np.int64(1), scene, np.array(0.0))
+    assert [type(x) for x in (*same.element, same.pd, same.time)] == [int, int, int, float]
+    for name in CIR_FIELDS:
+        assert np.array_equal(getattr(same, name), getattr(cir, name))
     assert np.all(np.diff(cir.delays) >= 0.0)
     assert np.all(cir.powers > 0.0)
     assert np.all((cir.delays > 0.0) & np.isfinite(cir.delays))
@@ -389,9 +391,8 @@ def test_cir_taps_respect_field_of_view():
     scene = cfg.build_scene(21)
     t = 0.0
     cir = cir_snapshot(1, 1, 1, scene, t)
-    snap = scene.at(t)
-    rx = snap.rx_position
-    n_pd = snap.pd_normals[0]
+    rx = scene.receiver.position_at(t)
+    n_pd = scene.receiver.pd_normals(t)[0]
     tx_points = scene.tx.scatterers0 + scene.tx.velocity * t
     rx_points = scene.rx.scatterers0 + scene.rx.velocity * t
     for kind, c, s in zip(cir.kinds, cir.clusters, cir.scatterers):
@@ -491,13 +492,13 @@ def test_channel_over_time_equals_fresh_snapshots(
 @pytest.fixture
 def leg_builds(monkeypatch):
     """Counts the bounce legs built, one per instant of each call to the
-    builder, and keeps a weak reference to the snapshot of each."""
+    builder, and keeps a weak reference to the block of each."""
     builder = vlcsim.channel._bounce_leg
     calls = []
 
-    def counting(snapshot, i, j, idx, kind, rx):
-        calls.extend([weakref.ref(snapshot)] * len(rx))
-        return builder(snapshot, i, j, idx, kind, rx)
+    def counting(block, t, i, j, idx, kind, rx):
+        calls.extend([weakref.ref(block)] * len(rx))
+        return builder(block, t, i, j, idx, kind, rx)
 
     monkeypatch.setattr(vlcsim.channel, "_bounce_leg", counting)
     return calls
@@ -520,33 +521,29 @@ def test_moving_scene_rebuilds_legs_every_instant(leg_builds, motion):
     assert len(leg_builds) == 2 * 2 * 2 * len(times)
 
 
-def test_detectors_share_the_layout_of_one_snapshot(leg_builds):
-    # the three detectors of a head build each bounce leg once, and later
-    # calls on their snapshot read its layout
+def test_detectors_share_the_layout_of_one_snapshot(leg_builds, monkeypatch):
+    # rms-adr's plan, element (1, 1) at t = 0 seen by three detectors,
+    # builds one layout per scene and each bounce leg once, and every
+    # detector's CIR equals a lone call
     scene = _moving_config().build_scene(SEED)
-    snapshot = scene.at(0.0)
-    cirs = [cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot) for p in (1, 2, 3)]
+    plan = [[(1, 1, p) for p in (1, 2, 3)]]
+    cirs = list(vlcsim.channel._cirs(scene, [0.0], plan))
     assert len(leg_builds) == 2
-    for p, cir in zip((1, 2, 3), cirs):
-        again = cir_snapshot(1, 1, p, scene, 0.0, snapshot=snapshot)
+    assert [(k, link) for k, link, _ in cirs] == [(0, link) for link in plan[0]]
+    for _, (i, j, p), cir in cirs:
+        lone = cir_snapshot(i, j, p, scene, 0.0)
         for name in CIR_FIELDS:
-            assert np.array_equal(getattr(again, name), getattr(cir, name))
-    assert len(leg_builds) == 2
+            assert _tobytes_equal(getattr(cir, name), getattr(lone, name))
+    builder = vlcsim.channel._layout
+    layouts = []
 
+    def counting(*args):
+        layouts.append(args[0].scene)
+        return builder(*args)
 
-def test_snapshot_of_another_instant_or_scene_is_rejected():
-    # a snapshot used to give the geometry of its own instant under the
-    # label of the call's, and to pair its clusters with the call's mask
-    cfg = _moving_config(rx_speed=0.5)
-    scene = cfg.build_scene(SEED)
-    with pytest.raises(ValueError, match=r"time 0\.0.*t = 1\.0"):
-        cir_snapshot(1, 1, 1, scene, 1.0, snapshot=scene.at(0.0))
-    twin = cfg.build_scene(SEED)
-    with pytest.raises(ValueError, match=f"another scene.*seed {SEED}.*seed {SEED}"):
-        cir_snapshot(1, 1, 1, scene, 0.0, snapshot=twin.at(0.0))
-    other = cfg.build_scene(SEED + 1)
-    with pytest.raises(ValueError, match=f"seed {SEED + 1}.*seed {SEED}"):
-        cir_snapshot(1, 1, 1, scene, 0.0, snapshot=other.at(0.0))
+    monkeypatch.setattr(vlcsim.channel, "_layout", counting)
+    run_experiment("rms-adr", ensemble=2)
+    assert len(layouts) == len(set(map(id, layouts))) == 2
 
 
 def test_channel_over_time_leaves_no_legs_behind(leg_builds):
@@ -562,14 +559,14 @@ def test_channel_over_time_leaves_no_legs_behind(leg_builds):
 
 @pytest.fixture
 def tx_half_builds(monkeypatch):
-    """Records (snapshot weakref, scene, time, i, j, kind) for every build
+    """Records (block weakref, scene, time, i, j, kind) for every build
     of a bounce leg's LED-side half."""
     builder = vlcsim.channel._tx_half
     calls = []
 
-    def counting(snapshot, i, j, idx, kind):
-        calls.append((weakref.ref(snapshot), snapshot.scene, snapshot.time, i, j, kind))
-        return builder(snapshot, i, j, idx, kind)
+    def counting(block, t, i, j, idx, kind):
+        calls.append((weakref.ref(block), block.scene, t, i, j, kind))
+        return builder(block, t, i, j, idx, kind)
 
     monkeypatch.setattr(vlcsim.channel, "_tx_half", counting)
     return calls
@@ -690,23 +687,45 @@ def test_channel_over_time_rejects_two_dimensional_times():
 
 
 def test_channel_over_time_hands_out_each_cir_once(monkeypatch):
-    # every CIR leaves through the module-global cir_snapshot, once per
-    # (instant, element, detector): what a call-counting tracer relies on
+    # every CIR of channel_over_time, stfcf_many and rms-adr leaves through
+    # the module-global cir_snapshot, once per planned (instant, element,
+    # detector) of a scene: what a call-counting tracer relies on
     original = vlcsim.channel.cir_snapshot
     handed = []
 
     def counting(*args, **kwargs):
         cir = original(*args, **kwargs)
-        handed.append(cir)
+        handed.append((args[3], cir))
         return cir
+
+    def keys(scene):
+        return [(c.time, (*c.element, c.pd)) for s, c in handed if s is scene]
 
     monkeypatch.setattr(vlcsim.channel, "cir_snapshot", counting)
     scene = _moving_config(rot_az=45.0).build_scene(SEED)
     times = [0.0, 0.25, 0.5]
     mats = channel_over_time(scene, times)
-    keys = [(c.time, c.element, c.pd) for c in handed]
-    assert len(keys) == len(set(keys)) == len(times) * 2 * 2 * 3
-    assert [id(c) for m in mats for c in m.cirs.values()] == [id(c) for c in handed]
+    assert len(keys(scene)) == len(set(keys(scene))) == len(times) * 2 * 2 * 3
+    assert [id(c) for m in mats for c in m.cirs.values()] == [id(c) for _, c in handed]
+
+    handed.clear()
+    scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
+    lags = [0.0, 0.1, 0.3]
+    stfcf_many(scenes, [((1, 1, 1), (1, 2, 3), 0.2, 1e8, lags, 0.0),
+                        ((1, 2, 3), (1, 2, 3), 0.2, 1e8, lags, 0.0),
+                        ((2, 2, 2), (1, 1, 1), 0.3, 1e8, 0.0, 0.0)])
+    planned = ({(0.2, (1, 1, 1)), (0.3, (2, 2, 2)), (0.3, (1, 1, 1))}
+               | {(0.2 + lag, (1, 2, 3)) for lag in lags})
+    assert len(handed) == len(scenes) * len(planned)
+    for scene in scenes:
+        assert sorted(keys(scene)) == sorted(planned)
+
+    handed.clear()
+    run_experiment("rms-adr", ensemble=2)
+    scenes = list({id(s): s for s, _ in handed}.values())
+    assert len(scenes) == 2
+    for scene in scenes:
+        assert keys(scene) == [(0.0, (1, 1, p)) for p in (1, 2, 3)]
 
 
 BATCH_CASES = {
@@ -729,9 +748,9 @@ def _per_leg_fields(scene, i, j, p, t):
     A bounce leg's incidence cosines come from one ``u @ n`` product over
     all of its candidate rays, built here from the scatterer positions.
     """
-    snapshot = scene.at(t)
-    rx = snapshot.rx_position
-    n_pd = snapshot.pd_normals[p - 1]
+    block = vlcsim.channel._Block(scene, (t,))
+    rx = scene.receiver.position_at(t)
+    n_pd = scene.receiver.pd_normals(t)[p - 1]
     optics_cfg = scene.receiver.optics
     vec = rx - scene.array.element_position(i, j)
     d = float(np.linalg.norm(vec))
@@ -747,7 +766,7 @@ def _per_leg_fields(scene, i, j, p, t):
     db = scene.is_db[vis]
     m = scene.distribution.scatterers_per_cluster
     for kind, idx in ((TapKind.SB, vis[~db]), (TapKind.DB, vis[db])):
-        leg = vlcsim.channel._bounce_leg(snapshot, i, j, idx, kind, rx[None, :])
+        leg = vlcsim.channel._bounce_leg(block, t, i, j, idx, kind, rx[None, :])
         if kind == TapKind.SB:
             exits = scene.tx.take(idx, t)[0]
         else:
@@ -801,6 +820,37 @@ def test_channel_over_time_equals_lone_calls(case):
             assert (cir.element, cir.pd, cir.time) == (lone.element, lone.pd, lone.time)
 
 
+PLAN_MOTIONS = {
+    "static": {},
+    "moving-receiver": {"rx_speed": 0.6},
+    "drifting-clusters": {"rx_speed": 0.6, "cluster_speed": 0.4},
+}
+
+
+@pytest.mark.parametrize("per_instant", [False, True], ids=["every-link", "links-per-instant"])
+@pytest.mark.parametrize("motion", sorted(PLAN_MOTIONS))
+def test_cirs_follow_the_plan_and_equal_lone_calls(motion, per_instant):
+    # an instant asked for twice, and links that differ per instant: each
+    # (k, link) comes in plan order, and each CIR has the bytes of a lone call
+    scene = _moving_config(rot_az=40.0, **PLAN_MOTIONS[motion]).build_scene(SEED)
+    times = [0.0, 0.0, 0.1]
+    every = [(i, j, p) for i in (1, 2) for j in (1, 2) for p in (1, 2, 3)]
+    links = [[(1, 1, 1), (2, 2, 3)], [(1, 2, 2)], [(2, 2, 3), (1, 1, 1), (1, 1, 2)]]
+    plan = links if per_instant else [every] * len(times)
+    got = list(vlcsim.channel._cirs(scene, times, links if per_instant else None))
+    assert [(k, link) for k, link, _ in got] == [(k, link) for k, asked in enumerate(plan)
+                                                 for link in asked]
+    for k, (i, j, p), cir in got:
+        lone = cir_snapshot(i, j, p, scene, times[k])
+        assert (cir.element, cir.pd, cir.time) == ((i, j), p, times[k])
+        for name in CIR_FIELDS:
+            assert _tobytes_equal(getattr(cir, name), getattr(lone, name)), name
+    mats = channel_over_time(scene, times)
+    assert [m.time for m in mats] == times
+    for m in mats[:2]:
+        assert list(m.cirs) == every
+
+
 def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
     # elements of row 1 face away, so there is no direct path: calls whose
     # only ray is the one of 100 candidates that passed the static gates,
@@ -813,9 +863,8 @@ def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
     lone_rays = []
     for k in scene.visible_indices(1, 2):
         kind = TapKind.DB if scene.is_db[k] else TapKind.SB
-        snapshot = scene.at(0.0)   # its LED-side half holds this one cluster
-        leg = vlcsim.channel._bounce_leg(snapshot, 1, 2, np.array([k]), kind,
-                                         snapshot.rx_position[None, :])
+        block = vlcsim.channel._Block(scene, (0.0,))   # its LED-side half holds this one cluster
+        leg = vlcsim.channel._bounce_leg(block, 0.0, 1, 2, np.array([k]), kind, block.rx_positions)
         if leg.candidates > 1 and leg.keep.sum() == 1:
             lone_rays.append(k)
     assert lone_rays
@@ -835,13 +884,18 @@ def test_lone_ray_of_a_many_ray_leg_keeps_its_product():
 
 
 @pytest.mark.parametrize("link", [(0, 1, 1), (5, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0),
-                                  (1, 1, 2), (5, 5, 1)])
+                                  (1, 1, 2), (5, 5, 1), (1.5, 1, 1), (1, 1, 1.0),
+                                  (True, 1, 1), (1, np.True_, 1)])
 def test_out_of_range_indices_are_rejected(link):
     # (0, 1, 1) used to give taps under row 4's mask, p = 0 the taps of
-    # detector 1, and j = 5 or ccf(..., (5, 5, 1), ...) a bare IndexError
+    # detector 1, and j = 5 or ccf(..., (5, 5, 1), ...) a bare IndexError;
+    # i = 1.5 an IndexError, p = 1.0 a TypeError, and True was taken as 1
     cfg = default_config()
     scene, twin = cfg.build_scene(SEED), cfg.build_scene(SEED + 1)
-    named = re.escape(f"sub-channel {link} is out of range: i runs 1..4, j 1..4 and p 1..1")
+    if all(type(x) is int for x in link):
+        named = re.escape(f"sub-channel {link} is out of range: i runs 1..4, j 1..4 and p 1..1")
+    else:
+        named = re.escape(f"sub-channel {link} needs integer indices")
     with pytest.raises(ValueError, match=named):
         cir_snapshot(*link, scene, 0.0)
     with pytest.raises(ValueError, match=named):
@@ -890,7 +944,7 @@ def test_stacked_blocks_equal_lone_fresh_calls(case, start, t, n_lags):
                    for s in scenes for db in (False, True))
     if case == "element-facing-away":
         assert all(int(TapKind.LOS) not in cir_snapshot(1, 1, 1, s, t).kinds for s in scenes)
-    original = vlcsim.stats.cir_snapshot
+    original = vlcsim.channel.cir_snapshot
     handed = []
 
     def recording(*args, **kwargs):
@@ -901,9 +955,15 @@ def test_stacked_blocks_equal_lone_fresh_calls(case, start, t, n_lags):
     p = scenes[0].receiver.n_pd
     lags = [0.03 * k for k in range(n_lags)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vlcsim.stats, "cir_snapshot", recording)
+        patch.setattr(vlcsim.channel, "cir_snapshot", recording)
         stfcf_many(scenes, [((1, 2, p), (1, 2, p), t, 1e8, lags, 0.0),
                             ((1, 1, 1), (2, 2, p), t, 1e8, lags[1:] or 0.2, 0.0)])
+    # each planned (link, instant) pair of each scene, recorded once
+    planned = ([((1, 2, p), t + lag) for lag in lags] + [((1, 1, 1), t)]
+               + [((2, 2, p), t + lag) for lag in lags[1:] or [0.2]])
+    for scene in scenes:
+        got = [((*c.element, c.pd), c.time) for s, c in handed if s is scene]
+        assert sorted(got) == sorted(planned)
     times = [t + lag for lag in lags]
     for scene in scenes:
         for matrix in channel_over_time(scene, times):
@@ -922,9 +982,9 @@ def test_a_link_wanted_only_at_its_anchor_gets_no_rx_half_at_the_lags(monkeypatc
     builder = vlcsim.channel._bounce_leg
     stacks = []
 
-    def counting(snapshot, i, j, idx, kind, rx):
-        stacks.append((snapshot.scene, (i, j), kind, len(rx)))
-        return builder(snapshot, i, j, idx, kind, rx)
+    def counting(block, t, i, j, idx, kind, rx):
+        stacks.append((block.scene, (i, j), kind, len(rx)))
+        return builder(block, t, i, j, idx, kind, rx)
 
     monkeypatch.setattr(vlcsim.channel, "_bounce_leg", counting)
     scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
@@ -971,7 +1031,8 @@ def test_lone_live_ray_of_a_many_candidate_leg_keeps_its_product():
     lone = {}
     for k in scene.visible_indices(1, 1):
         kind = TapKind.DB if scene.is_db[k] else TapKind.SB
-        half = vlcsim.channel._tx_half(scene.at(0.0), 1, 1, np.array([k]), kind)
+        half = vlcsim.channel._tx_half(vlcsim.channel._Block(scene, (0.0,)), 0.0, 1, 1,
+                                       np.array([k]), kind)
         if half.candidates == 2 and half.ids.shape[1] == 1:
             lone.setdefault(kind, k)
     assert TapKind.SB in lone
@@ -981,12 +1042,13 @@ def test_lone_live_ray_of_a_many_candidate_leg_keeps_its_product():
     times = np.linspace(0.0, 6.0, 3 * vlcsim.channel._STACK_BLOCK).tolist()
     links = [[(1, 1, p) for p in (1, 2, 3)]] * len(times)
     taps = 0
-    for t, snapshot in zip(times, vlcsim.channel._snapshots(scene, times, links)):
-        for p in (1, 2, 3):
-            cir = cir_snapshot(1, 1, p, scene, t, snapshot=snapshot)
-            taps += int((cir.kinds != int(TapKind.LOS)).sum())
-            for name, want in zip(CIR_FIELDS, _per_leg_fields(scene, 1, 1, p, t)):
-                assert _tobytes_equal(getattr(cir, name), want), name
+    cirs = list(vlcsim.channel._cirs(scene, times, links))
+    assert [(k, link) for k, link, _ in cirs] == [(k, link) for k in range(len(times))
+                                                  for link in links[k]]
+    for k, (_, _, p), cir in cirs:
+        taps += int((cir.kinds != int(TapKind.LOS)).sum())
+        for name, want in zip(CIR_FIELDS, _per_leg_fields(scene, 1, 1, p, times[k])):
+            assert _tobytes_equal(getattr(cir, name), want), name
     assert taps >= len(times)
 
 

@@ -419,18 +419,17 @@ def test_snapshot_motion_is_linear():
         }
     )
     scene = cfg.build_scene(7)
-    snap = scene.at(2.0)
+    receiver = scene.receiver
+    assert np.allclose(receiver.position_at(2.0), receiver.initial_position + [0.0, 0.0, 1.0])
     assert np.allclose(
-        snap.rx_position, scene.receiver.initial_position + [0.0, 0.0, 1.0]
-    )
-    assert np.allclose(
-        scene.tx.take(np.arange(len(scene.tx)), snap.time)[0],
+        scene.tx.take(np.arange(len(scene.tx)), 2.0)[0],
         scene.tx.scatterers0 + np.array([-0.5, 0.0, 0.0]),
         atol=1e-12,
     )
-    later = scene.at(snap.time + 0.5)
-    assert later.time == pytest.approx(2.5)
-    assert np.allclose(later.rx_position, scene.receiver.position_at(2.5))
+    # one row per time of a 1-D array, on the same line
+    track = receiver.position_at(np.array([2.0, 2.5]))
+    assert np.array_equal(track, [receiver.position_at(2.0), receiver.position_at(2.5)])
+    assert np.allclose(track[1] - track[0], [0.0, 0.0, 0.25])
 
 
 def test_gamma_table_monochromatic_shortcut():

@@ -450,7 +450,7 @@ def test_stfcf_evaluates_each_distinct_cir_once(monkeypatch, estimate, calls_per
         calls.append(args[3])
         return cir_snapshot(*args, **kwargs)
 
-    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", counted)
+    monkeypatch.setattr(vlcsim.channel, "cir_snapshot", counted)
     estimate(scenes)
     for scene in scenes:
         assert sum(s is scene for s in calls) == calls_per_scene
@@ -501,7 +501,7 @@ def _lone_products(scenes, link, other_link, t, f, dt_lags, df_lags):
     df_lags=st.lists(st.sampled_from([0.0, 5e6, 3e7]), min_size=1, max_size=3),
 )
 def test_stfcf_equals_lone_fresh_calls(case, start, t, dt_lags, df_lags):
-    # snapshots that share layouts or LED-side bounce halves across the
+    # CIRs that share layouts or LED-side bounce halves across the
     # instants of a scene give every product the bits of lone calls
     cfg = default_config().merged({
         "array": {"rows": 2, "cols": 2},
@@ -576,7 +576,7 @@ def test_stfcf_many_evaluates_each_distinct_cir_once_per_scene(monkeypatch):
         calls.append((args[:3], args[3], args[4]))
         return cir_snapshot(*args, **kwargs)
 
-    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", counted)
+    monkeypatch.setattr(vlcsim.channel, "cir_snapshot", counted)
     requests = [((ri, rj, 1), (k, k, 1), 0.0, 0.0, 0.0, 0.0)
                 for ri, rj in ((1, 1), (4, 4)) for k in range(1, 5)]
     stfcf_many(scenes, requests)
@@ -606,7 +606,7 @@ def test_stfcf_rejects_non_finite_times_before_any_cir(bad, monkeypatch):
     cfg = default_config().merged({"receiver": {"speed_m_s": 0.6}})
     scenes = [cfg.build_scene(s) for s in (3, 4)]
     calls = []
-    monkeypatch.setattr(vlcsim.stats, "cir_snapshot", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(vlcsim.channel, "cir_snapshot", lambda *a, **k: calls.append(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"dt lag {bad} is not finite"):
@@ -616,6 +616,24 @@ def test_stfcf_rejects_non_finite_times_before_any_cir(bad, monkeypatch):
         with pytest.raises(ValueError, match="dt lag"):
             stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), 0.0, 1e8, [0.0, 0.1], 0.0),
                                 ((1, 1, 1), (2, 2, 1), 0.0, 1e8, [bad], 0.0)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("link", [(1, 1), (1, 1, 1, 1), 7, (1, 1.0, 1), (1, True, 1)])
+def test_stfcf_rejects_links_that_are_not_three_integers_before_any_cir(link, monkeypatch):
+    # a two-element link used to fail with "not enough values to unpack"
+    # once the first scene was evaluated, and True was taken as 1
+    _, scenes = _ensemble(2)
+    calls = []
+    monkeypatch.setattr(vlcsim.channel, "cir_snapshot", lambda *a, **k: calls.append(a))
+    named = "is not three integers" if len(np.atleast_1d(link)) != 3 else "needs integer indices"
+    with pytest.raises(ValueError, match=named):
+        stfcf_many(scenes, [((1, 1, 1), (1, 1, 1), 0.0, 1e8, 0.0, 0.0),
+                            ((1, 1, 1), link, 0.0, 1e8, 0.1, 0.0)])
+    with pytest.raises(ValueError, match=named):
+        stfcf(scenes, link, (1, 1, 1), 0.0, 1e8, 0.0, 0.0)
+    with pytest.raises(ValueError, match=named):
+        transfer(scenes[0], link, 0.0, [0.0, 1e6])
     assert calls == []
 
 
