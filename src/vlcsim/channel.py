@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -411,7 +412,9 @@ class _Block:
     leg, or is None where no other layout will need a half again.
     ``layouts`` maps ``(scope, positions)`` to a ray layout and
     ``finished`` maps ``(scope, p, position)`` to the finish that holds
-    that instant's taps.
+    that instant's taps. ``normals`` maps the bits of the head's rotated
+    (azimuth, elevation) to its detector normals, for the last angles
+    seen; :func:`_cirs` shares it across a call's blocks.
     """
 
     scene: Scene
@@ -421,6 +424,7 @@ class _Block:
     tx_halves: dict | None = None
     layouts: dict = field(default_factory=dict)
     finished: dict = field(default_factory=dict)
+    normals: dict = field(default_factory=dict)
 
     @cached_property
     def rx_positions(self) -> np.ndarray:
@@ -428,7 +432,20 @@ class _Block:
 
     @cached_property
     def pd_normals(self) -> list[list[np.ndarray]]:
-        return [self.scene.receiver.pd_normals(t) for t in self.times]
+        """The detector normals at each instant. An instant whose head
+        angles have the bits of the last ones computed reuses their
+        normals, so a head that does not rotate gets them once; bits, not
+        ``==``, so that a -0.0 angle keeps its own normals."""
+        rx, out = self.scene.receiver, []
+        for t in self.times:
+            # the angles as geometry.pd_normals computes them
+            key = struct.pack("2d", rx.azimuth + rx.rot_azimuth * t,
+                              rx.elevation + rx.rot_elevation * t)
+            if key not in self.normals:
+                self.normals.clear()
+                self.normals[key] = rx.pd_normals(t)
+            out.append(self.normals[key])
+        return out
 
 
 def _sub_channel(i, j, p) -> tuple[int, int, int]:
@@ -511,8 +528,10 @@ def _cirs(scene: Scene, times, links=None) -> Iterator[tuple[int, tuple, Cir]]:
     block: the first call for a finish evaluates it at every instant of
     the block that will ask for it, in one stacked pass, and the later
     calls read their share. Drifting clusters share nothing: each
-    instant is a block of its own. A block is made when its first CIR is
-    asked for, and nothing the calls share outlives the generator.
+    instant is a block of its own. The blocks share the last detector
+    normals they computed (see :attr:`_Block.pd_normals`). A block is made
+    when its first CIR is asked for, and nothing the calls share outlives
+    the generator.
     """
     drifting = bool(scene.tx.velocity.any() or scene.rx.velocity.any())
     moving = drifting or scene.receiver.speed != 0
@@ -522,6 +541,7 @@ def _cirs(scene: Scene, times, links=None) -> Iterator[tuple[int, tuple, Cir]]:
     every = [(i, j, p) for i, j in elements for p in range(1, scene.receiver.n_pd + 1)]
     size = max(_STACK_BLOCK // (len(elements) if links is None else 1), 1) if stacked else 1
     layouts: dict = {}
+    normals: dict = {}
     halves = {} if stacked else None
     for start in range(0, len(times), size):
         chunk = tuple(times[start:start + size])
@@ -532,10 +552,21 @@ def _cirs(scene: Scene, times, links=None) -> Iterator[tuple[int, tuple, Cir]]:
                 wanted.setdefault((None if links is None else (i, j), p), {})[q] = None
         block = _Block(scene, chunk, elements if links is None else (),
                        {key: tuple(qs) for key, qs in wanted.items()}, halves,
-                       {} if moving else layouts)
+                       {} if moving else layouts, normals=normals)
         for q, asked in enumerate(plan):
             for link in asked:
                 yield start + q, link, cir_snapshot(*link, scene, chunk[q], _shared=(block, q))
+
+
+def _matrices(scene: Scene, times: list) -> Iterator[ChannelMatrix]:
+    """Yields the :class:`ChannelMatrix` of each of ``times`` in turn,
+    from :func:`_cirs`, and reads no CIR of the next instant before the
+    consumer asks for it. A consumer that folds each matrix and drops it
+    keeps one instant's taps alive, not the whole series."""
+    cirs = _cirs(scene, times)
+    per_instant = scene.array.rows * scene.array.cols * scene.receiver.n_pd
+    for t in times:
+        yield ChannelMatrix(t, {link: cir for _, link, cir in itertools.islice(cirs, per_instant)})
 
 
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
@@ -552,7 +583,15 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     moves past static clusters builds the LED-side half of each bounce
     leg (up to the exit scatterer) once per call and evaluates its
     instants in stacked blocks (see :func:`_cirs`); drifting clusters
-    get fresh legs at each instant. Nothing stays cached after the call.
+    get fresh legs at each instant.
+
+    The returned list holds every instant's taps, so its memory grows
+    with instants times taps. A :class:`Cir`'s arrays are views into
+    its instant's shared finish arrays: keeping one CIR keeps the taps
+    of every element of that instant, so ``.copy()`` the fields you
+    keep. Layouts, LED-side halves and the other work the CIRs share are
+    dropped when the call returns; only the taps stay. The presets that
+    reduce a time series fold each instant as it is evaluated instead.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
@@ -561,7 +600,4 @@ def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     for t in times:
         if not math.isfinite(t):
             raise ValueError(f"time t = {t} is not finite")
-    out = [ChannelMatrix(t, {}) for t in times]
-    for k, link, cir in _cirs(scene, times):
-        out[k].cirs[link] = cir
-    return out
+    return list(_matrices(scene, times))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from ._version import __version__
-from .channel import Cir, _cirs, channel_over_time, cir_snapshot
+from .channel import Cir, _cirs, _matrices, channel_over_time, cir_snapshot
 from .config import SimulationConfig, config_hash, default_config
 from .errors import ConfigValidationError, UnknownExperimentError
 
@@ -237,7 +237,7 @@ def _power_vs_distance(cfg, n_runs):
 
 
 def _power_rotation_fov(cfg, n_runs):
-    times = np.round(np.arange(0.0, 1.8000001, 0.01), 10)
+    times = np.round(np.arange(0.0, 1.8000001, 0.01), 10).tolist()
     rows = []
     for fov in (45.0, 60.0, 90.0):
         eff = cfg.merged({
@@ -247,8 +247,9 @@ def _power_rotation_fov(cfg, n_runs):
 
         def worker(k, s):
             scene = eff.build_scene(s)
-            out = np.empty(times.size)
-            for ti, matrix in enumerate(channel_over_time(scene, times)):
+            out = np.empty(len(times))
+            # fold each instant as it comes, so one instant's taps are alive at a time
+            for ti, matrix in enumerate(_matrices(scene, times)):
                 out[ti] = stats.received_power(matrix, tx_power)[1][0]
             return out
 

@@ -325,13 +325,24 @@ def received_power(matrix: ChannelMatrix, tx_power) -> tuple[np.ndarray, np.ndar
     """Received power per (element, detector) and the per-detector totals.
 
     ``tx_power`` is the per-element transmit power in watts: a scalar or
-    an (rows, cols) array. Returns (per_element, per_detector_total).
+    an (rows, cols) array. The element grid is read from the largest
+    keys of ``matrix``; an empty matrix, or a ``tx_power`` that does not
+    broadcast to that grid, raises ``ValueError``. Returns (per_element,
+    per_detector_total).
     """
+    if not matrix.cirs:
+        raise ValueError("received power needs a channel matrix with at least one CIR; "
+                         "this one is empty")
     keys = list(matrix.cirs)
     rows = max(k[0] for k in keys)
     cols = max(k[1] for k in keys)
     pds = max(k[2] for k in keys)
-    pt = np.broadcast_to(np.asarray(tx_power, dtype=float), (rows, cols))
+    power = np.asarray(tx_power, dtype=float)
+    try:
+        pt = np.broadcast_to(power, (rows, cols))
+    except ValueError:
+        raise ValueError(f"tx_power of shape {power.shape} does not fit the matrix's "
+                         f"({rows}, {cols}) element grid") from None
     per_element = np.zeros((rows, cols, pds))
     for (i, j, p), cir in matrix.cirs.items():
         per_element[i - 1, j - 1, p - 1] = pt[i - 1, j - 1] * cir.dc_gain

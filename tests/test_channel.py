@@ -557,6 +557,46 @@ def test_channel_over_time_leaves_no_legs_behind(leg_builds):
     pickle.loads(pickle.dumps(scene))
 
 
+def test_time_series_releases_each_instant_it_has_handed_out():
+    # nothing moves: the instants share one layout, and each has its own finish
+    scene = _moving_config(rot_az=45.0).build_scene(SEED)
+    matrices = vlcsim.channel._matrices(scene, [0.0, 0.5, 1.0])
+    first = next(matrices)
+    finish = weakref.ref(first.cirs[(1, 1, 1)].powers.base)
+    del first
+    second = next(matrices)
+    gc.collect()
+    assert finish() is None
+    assert second.cirs[(2, 2, 3)].powers.base is not None
+    assert [m.time for m in matrices] == [1.0]
+
+
+def test_a_head_that_does_not_rotate_gets_its_normals_once(monkeypatch):
+    calls = []
+    normals = Receiver.pd_normals
+
+    def counting(receiver, t):
+        calls.append(t)
+        return normals(receiver, t)
+
+    monkeypatch.setattr(Receiver, "pd_normals", counting)
+    times = np.linspace(0.0, 1.0, 7)
+    moving = _moving_config(rx_speed=0.5).build_scene(SEED)
+    channel_over_time(moving, times)
+    stfcf_many([moving, moving], [((1, 1, 1), (2, 2, 2), 0.0, 0.0, times, 0.0)])
+    assert len(calls) == 3   # once per scene of each call
+    # a -0.0 azimuth turns into +0.0 at t >= 0 but stays -0.0 at t < 0:
+    # equal as floats, two sets of normals by their bits
+    signed = dataclasses.replace(moving, receiver=dataclasses.replace(moving.receiver, azimuth=-0.0))
+    calls.clear()
+    channel_over_time(signed, [-1.0, 1.0])
+    assert calls == [-1.0, 1.0]
+    # a rotating head gets its normals once per instant
+    calls.clear()
+    channel_over_time(_moving_config(rot_az=45.0, rx_speed=0.5).build_scene(SEED), times)
+    assert calls == times.tolist()
+
+
 @pytest.fixture
 def tx_half_builds(monkeypatch):
     """Records (block weakref, scene, time, i, j, kind) for every build

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -17,9 +18,11 @@ from vlcsim import (
     ResultTable,
     SimulationConfig,
     UnknownExperimentError,
+    channel_over_time,
     default_config,
     export,
     list_experiments,
+    received_power,
     run_experiment,
 )
 from vlcsim.cli import main
@@ -146,6 +149,27 @@ def test_run_experiment_guards(monkeypatch):
 @pytest.fixture(scope="module")
 def ccf_table():
     return run_experiment("ccf-space", default_config(), ensemble=3)
+
+
+def test_power_rotation_fov_folds_one_instant_at_a_time():
+    cfg = default_config()
+    times = np.round(np.arange(0.0, 1.8000001, 0.01), 10)
+    expected = []
+    for fov in (45.0, 60.0, 90.0):
+        eff = cfg.merged({"receiver": {"fov_deg": fov, "rot_azimuth_deg_s": 45.0}})
+        scene = eff.build_scene(eff.run_seeds(1)[0])
+        tx_power = eff.data["array"]["tx_power_w"]
+        expected += [received_power(m, tx_power)[1][0] for m in channel_over_time(scene, times)]
+    tracemalloc.start()
+    try:
+        table = run_experiment("power-rotation-fov", cfg, ensemble=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole series of taps took ~46 MB; one instant's take ~3.5 MB
+    assert peak < 16e6
+    got = np.array([row[2] for row in table.rows])
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def test_run_experiment_provenance(ccf_table):

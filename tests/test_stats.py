@@ -11,6 +11,7 @@ from scipy.stats import kstest
 import oracles
 import vlcsim.stats
 from vlcsim import (
+    ChannelMatrix,
     Cir,
     ClusterDistribution,
     ClusterSet,
@@ -268,6 +269,15 @@ def test_received_power_matches_manual_sum():
         matrix.cirs[(1, 1, 1)].dc_gain, rel=1e-12
     )
     assert only_first[1, 1, 0] == 0.0
+
+
+def test_received_power_names_what_it_cannot_read():
+    with pytest.raises(ValueError, match="empty"):
+        received_power(ChannelMatrix(0.0, {}), 1.0)
+    scene = default_config().merged(SMALL).build_scene(9)
+    lone = ChannelMatrix(0.0, {(1, 1, 1): cir_snapshot(1, 1, 1, scene, 0.0)})
+    with pytest.raises(ValueError, match=r"shape \(4, 4\).*\(1, 1\) element grid"):
+        received_power(lone, np.ones((4, 4)))
 
 
 def test_path_loss_frozen():
