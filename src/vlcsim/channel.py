@@ -231,20 +231,16 @@ def _bounce_leg(block: _Block, t: float, i: int, j: int, idx: np.ndarray, kind: 
     Drops rays that meet a zero distance or a back face at exit or that
     carry no power before the detector; what is left holds for every
     detector normal. The LED-side half comes from the block's
-    ``tx_halves`` under ``(i, j, kind)`` when the block has that dict,
-    and is built into it on a miss. ``idx`` is always the scene's
-    clusters of that kind visible at (i, j), and the block's clusters
-    do not move, so one key names one half. Lengths and dot products
-    come from :func:`geometry._norms` and :func:`geometry._dots`, so each
-    value has the bits of the same ray's row in ``(N, 3)`` arrays.
+    ``tx_halves`` under ``(i, j, kind)``, and is built into it on a
+    miss. ``idx`` is always the scene's clusters of that kind visible at
+    (i, j), and the dict's clusters do not move, so one key names one
+    half. Lengths and dot products come from :func:`geometry._norms` and
+    :func:`geometry._dots`, so each value has the bits of the same ray's
+    row in ``(N, 3)`` arrays.
     """
-    halves = block.tx_halves
-    if halves is None:
-        tx = _tx_half(block, t, i, j, idx, kind)
-    else:
-        tx = halves.get((i, j, kind))
-        if tx is None:
-            tx = halves[(i, j, kind)] = _tx_half(block, t, i, j, idx, kind)
+    tx = block.tx_halves.get((i, j, kind))
+    if tx is None:
+        tx = block.tx_halves[(i, j, kind)] = _tx_half(block, t, i, j, idx, kind)
 
     vec = rx.T[:, :, None] - tx.exit_point[:, None, :]    # (3, K, n)
     d_r = geometry._norms(vec)
@@ -297,16 +293,16 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _layout(block: _Block, t: float, positions: tuple, elements: tuple) -> _Layout:
-    """The LoS, SB and DB legs of ``elements`` at the instants
-    ``positions`` of ``block``, computed for all of those instants at
-    once, with the clusters where they are at time ``t``, one of those
-    instants (clusters drift only in a block of one instant). A bounce
-    leg without a visible cluster is left out. A bounce leg reads its
-    LED-side half from the block (see :func:`_bounce_leg`).
+def _layout(block: _Block, t: float) -> _Layout:
+    """The LoS, SB and DB legs of the block's elements at each of its
+    instants, computed for all of them at once, with the clusters where
+    they are at time ``t``, one of those instants (clusters drift only in
+    a block of one instant). A bounce leg without a visible cluster is
+    left out. A bounce leg reads its LED-side half from the block (see
+    :func:`_bounce_leg`).
     """
-    scene = block.scene
-    rx = block.rx_positions[list(positions)]
+    scene, elements = block.scene, block.elements
+    rx = block.rx_positions
     legs, firsts = [], []   # firsts: each element's LoS leg
     for i, j in elements:
         vis = scene.visible_indices(i, j)
@@ -403,25 +399,22 @@ class _Block:
     calls share one.
 
     A call names its instant by its position in ``times``. ``elements``
-    holds every element of the array where a call finishes every element
-    of its instants, and is empty where a call finishes only its own; the
-    scope of a finish is None or ``(i, j)`` accordingly. ``wanted`` maps
-    ``(scope, p)`` to the positions whose calls will ask for that finish,
-    so the first of them evaluates them all in one stacked pass.
-    ``tx_halves`` maps ``(i, j, kind)`` to the LED-side half of a bounce
-    leg, or is None where no other layout will need a half again.
-    ``layouts`` maps ``(scope, positions)`` to a ray layout and
-    ``finished`` maps ``(scope, p, position)`` to the finish that holds
-    that instant's taps. ``normals`` maps the bits of the head's rotated
+    lists, sorted, every element whose CIR some call of the block asks
+    for. The block's one layout holds each of them at each of its
+    instants, so the first call at a detector ``p`` finishes them all in
+    one stacked pass, and ``finished`` maps ``(p, position)`` to the
+    finish that holds that instant's taps. ``layouts`` maps ``elements``
+    to the layout. ``tx_halves`` maps ``(i, j, kind)`` to the LED-side
+    half of a bounce leg. ``normals`` maps the bits of the head's rotated
     (azimuth, elevation) to its detector normals, for the last angles
-    seen; :func:`_cirs` shares it across a call's blocks.
+    seen. :func:`_cirs` shares ``layouts``, ``tx_halves`` and ``normals``
+    across blocks where that is safe.
     """
 
     scene: Scene
     times: tuple
     elements: tuple = ()
-    wanted: dict = field(default_factory=dict)
-    tx_halves: dict | None = None
+    tx_halves: dict = field(default_factory=dict)
     layouts: dict = field(default_factory=dict)
     finished: dict = field(default_factory=dict)
     normals: dict = field(default_factory=dict)
@@ -438,9 +431,7 @@ class _Block:
         ``==``, so that a -0.0 angle keeps its own normals."""
         rx, out = self.scene.receiver, []
         for t in self.times:
-            # the angles as geometry.pd_normals computes them
-            key = struct.pack("2d", rx.azimuth + rx.rot_azimuth * t,
-                              rx.elevation + rx.rot_elevation * t)
+            key = struct.pack("2d", *rx._head_angles(t))
             if key not in self.normals:
                 self.normals.clear()
                 self.normals[key] = rx.pd_normals(t)
@@ -459,6 +450,18 @@ def _sub_channel(i, j, p) -> tuple[int, int, int]:
     raise ValueError(f"sub-channel ({i!r}, {j!r}, {p!r}) needs integer indices")
 
 
+def _in_range(scene: Scene, i, j, p) -> tuple[int, int, int]:
+    """``(i, j, p)`` as plain ints (see :func:`_sub_channel`), each from 1
+    to the array's rows, its columns and the receiver's detector count;
+    others raise ``ValueError``."""
+    i, j, p = _sub_channel(i, j, p)
+    rows, cols, n_pd = scene.array.rows, scene.array.cols, scene.receiver.n_pd
+    if not (1 <= i <= rows and 1 <= j <= cols and 1 <= p <= n_pd):
+        raise ValueError(f"sub-channel ({i}, {j}, {p}) is out of range: i runs 1..{rows}, "
+                         f"j 1..{cols} and p 1..{n_pd}")
+    return i, j, p
+
+
 def cir_snapshot(i: int, j: int, p: int, scene: Scene, t: float, *, _shared=None) -> Cir:
     """Impulse response of sub-channel (i, j, p) at time ``t``.
 
@@ -471,35 +474,24 @@ def cir_snapshot(i: int, j: int, p: int, scene: Scene, t: float, *, _shared=None
     passes ``_shared``, the ``(block, position)`` of a call whose work it
     shares with other calls; every result has the bits of a lone call.
     """
-    i, j, p = _sub_channel(i, j, p)
-    rows, cols, n_pd = scene.array.rows, scene.array.cols, scene.receiver.n_pd
-    if not (1 <= i <= rows and 1 <= j <= cols and 1 <= p <= n_pd):
-        raise ValueError(f"sub-channel ({i}, {j}, {p}) is out of range: i runs 1..{rows}, "
-                         f"j 1..{cols} and p 1..{n_pd}")
+    i, j, p = _in_range(scene, i, j, p)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time t = {t} is not finite")
-    block, q = (_Block(scene, (t,)), 0) if _shared is None else _shared
-    if block.elements:   # the layout holds every element
-        elements, e, scope = block.elements, (i - 1) * cols + j - 1, None
-    else:
-        elements, e, scope = ((i, j),), 0, (i, j)
-    done = block.finished.get((scope, p, q))
+    block, q = (_Block(scene, (t,), ((i, j),)), 0) if _shared is None else _shared
+    done = block.finished.get((p, q))
     if done is None:
-        positions = block.wanted.get((scope, p), ())
-        if q not in positions:
-            positions = (q,)
-        layout = block.layouts.get((scope, positions))
+        layout = block.layouts.get(block.elements)
         if layout is None:
-            layout = block.layouts[(scope, positions)] = _layout(block, t, positions, elements)
-        normals = [block.pd_normals[k][p - 1] for k in positions]
+            layout = block.layouts[block.elements] = _layout(block, t)
+        normals = [pd[p - 1] for pd in block.pd_normals]
         fields, cuts = _finish(layout, normals, scene.receiver.optics)
-        for r, k in enumerate(positions):
-            block.finished[(scope, p, k)] = fields, cuts, r * len(elements)
-        done = block.finished[(scope, p, q)]
+        for r in range(len(block.times)):
+            block.finished[(p, r)] = fields, cuts, r * len(block.elements)
+        done = block.finished[(p, q)]
     fields, cuts, base = done
-    a, b = cuts[base + e], cuts[base + e + 1]
-    return Cir(*(x[a:b] for x in fields), (i, j), p, t)
+    e = base + block.elements.index((i, j))
+    return Cir(*(x[cuts[e]:cuts[e + 1]] for x in fields), (i, j), p, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,47 +503,46 @@ class ChannelMatrix:
     cirs: dict
 
 
-def _cirs(scene: Scene, times, links=None) -> Iterator[tuple[int, tuple, Cir]]:
+def _cirs(scene: Scene, times, links) -> Iterator[tuple[int, tuple, Cir]]:
     """Yields ``(k, (i, j, p), cir)`` for each sub-channel ``links[k]``
     lists at ``times[k]``, instant by instant and in the order of
-    ``links[k]``, from one :func:`cir_snapshot` call each. Without
-    ``links`` it yields every sub-channel at every instant, element-major,
-    and the first call of an instant at a detector finishes every element
-    at once. Every CIR has the bits of a lone call.
+    ``links[k]``, from one :func:`cir_snapshot` call each. Every CIR has
+    the bits of a lone call. A link out of range raises ``ValueError``
+    before the first CIR.
 
-    Where nothing moves (receiver speed and cluster velocities zero) the
-    instants share one layout dict, so a rotating receiver recomputes
-    only the detector incidence. Where only the receiver moves, they
-    share one dict of LED-side bounce halves, which nothing else keeps
-    (a layout is built once where nothing moves), and come in blocks of
-    consecutive instants, up to ``_STACK_BLOCK`` element-instants a
-    block: the first call for a finish evaluates it at every instant of
-    the block that will ask for it, in one stacked pass, and the later
-    calls read their share. Drifting clusters share nothing: each
+    The instants come in blocks of consecutive instants. A block's
+    layout holds every element its instants name, at each of its
+    instants, so the first call at a detector finishes all of them in
+    one stacked pass and the later calls read their share; an instant
+    also evaluates the elements and detectors that the other instants of
+    its block name. Where nothing moves (receiver speed and cluster
+    velocities zero) each instant is a block, and the blocks that name
+    the same elements share one layout, so a rotating receiver
+    recomputes only the detector incidence. Where only the receiver
+    moves, a block holds up to ``_STACK_BLOCK`` element-instants,
+    counting every element the plan names, and the blocks share one dict
+    of LED-side bounce halves. Drifting clusters share nothing: each
     instant is a block of its own. The blocks share the last detector
-    normals they computed (see :attr:`_Block.pd_normals`). A block is made
-    when its first CIR is asked for, and nothing the calls share outlives
-    the generator.
+    normals they computed (see :attr:`_Block.pd_normals`). A block is
+    made when its first CIR is asked for, and nothing the calls share
+    outlives the generator.
     """
     drifting = bool(scene.tx.velocity.any() or scene.rx.velocity.any())
     moving = drifting or scene.receiver.speed != 0
     stacked = moving and not drifting
-    elements = tuple(itertools.product(range(1, scene.array.rows + 1),
-                                       range(1, scene.array.cols + 1)))
-    every = [(i, j, p) for i, j in elements for p in range(1, scene.receiver.n_pd + 1)]
-    size = max(_STACK_BLOCK // (len(elements) if links is None else 1), 1) if stacked else 1
+    # each distinct link, checked in plan order, to its element
+    named = {link: _in_range(scene, *link)[:2]
+             for link in dict.fromkeys(itertools.chain.from_iterable(links))}
+    n_elements = len(set(named.values())) or 1   # or an empty plan
+    size = max(_STACK_BLOCK // n_elements, 1) if stacked else 1
     layouts: dict = {}
     normals: dict = {}
-    halves = {} if stacked else None
+    halves: dict = {}
     for start in range(0, len(times), size):
         chunk = tuple(times[start:start + size])
-        plan = [every if links is None else links[start + q] for q in range(len(chunk))]
-        wanted: dict = {}
-        for q, asked in enumerate(plan):
-            for i, j, p in asked:
-                wanted.setdefault((None if links is None else (i, j), p), {})[q] = None
-        block = _Block(scene, chunk, elements if links is None else (),
-                       {key: tuple(qs) for key, qs in wanted.items()}, halves,
+        plan = links[start:start + size]
+        elements = tuple(sorted({named[link] for asked in plan for link in asked}))
+        block = _Block(scene, chunk, elements, halves if stacked else {},
                        {} if moving else layouts, normals=normals)
         for q, asked in enumerate(plan):
             for link in asked:
@@ -563,32 +554,34 @@ def _matrices(scene: Scene, times: list) -> Iterator[ChannelMatrix]:
     from :func:`_cirs`, and reads no CIR of the next instant before the
     consumer asks for it. A consumer that folds each matrix and drops it
     keeps one instant's taps alive, not the whole series."""
-    cirs = _cirs(scene, times)
-    per_instant = scene.array.rows * scene.array.cols * scene.receiver.n_pd
+    every = list(itertools.product(range(1, scene.array.rows + 1), range(1, scene.array.cols + 1),
+                                   range(1, scene.receiver.n_pd + 1)))
+    cirs = _cirs(scene, times, [every] * len(times))
     for t in times:
-        yield ChannelMatrix(t, {link: cir for _, link, cir in itertools.islice(cirs, per_instant)})
+        yield ChannelMatrix(t, {link: cir for _, link, cir in itertools.islice(cirs, len(every))})
 
 
 def channel_over_time(scene: Scene, times) -> list[ChannelMatrix]:
     """Evaluate every sub-channel at each requested time.
 
     ``times`` is one time or a 1-D sequence of finite times. The
-    sub-channels of one instant share one finish per detector: its
-    first ``cir_snapshot`` call computes the detector incidence of every
-    element's rays in one pass and each call reads its own element's
-    taps, in the same bits a lone ``cir_snapshot`` gives. A scene where
-    nothing moves (receiver speed and cluster velocities zero) shares
-    one layout across its instants, so a receiver that only rotates
-    recomputes just the detector incidence. A scene whose receiver
-    moves past static clusters builds the LED-side half of each bounce
-    leg (up to the exit scatterer) once per call and evaluates its
-    instants in stacked blocks (see :func:`_cirs`); drifting clusters
-    get fresh legs at each instant.
+    sub-channels of one block of instants (see :func:`_cirs`) share one
+    finish per detector: its first ``cir_snapshot`` call computes the
+    detector incidence of every element's rays at each instant of the
+    block in one pass and each call reads its own element's taps, in the
+    same bits a lone ``cir_snapshot`` gives. A scene where nothing moves
+    (receiver speed and cluster velocities zero) shares one layout
+    across its instants, so a receiver that only rotates recomputes just
+    the detector incidence. A scene whose receiver moves past static
+    clusters builds the LED-side half of each bounce leg (up to the exit
+    scatterer) once per call and stacks ``_STACK_BLOCK`` element-instants
+    a block, so an array of that many elements or more gets a block per
+    instant; drifting clusters get fresh legs at each instant.
 
     The returned list holds every instant's taps, so its memory grows
     with instants times taps. A :class:`Cir`'s arrays are views into
-    its instant's shared finish arrays: keeping one CIR keeps the taps
-    of every element of that instant, so ``.copy()`` the fields you
+    its block's shared finish arrays: keeping one CIR keeps the taps
+    of every element of those instants, so ``.copy()`` the fields you
     keep. Layouts, LED-side halves and the other work the CIRs share are
     dropped when the call returns; only the taps stay. The presets that
     reduce a time series fold each instant as it is evaluated instead.

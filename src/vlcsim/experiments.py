@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -352,8 +353,11 @@ def _pl_ci(cfg, n_runs):
 
 def _bandwidth_fov(cfg, n_runs):
     # single narrow-beam element aimed at the off-axis cluster field, so
-    # the direct ray is negligible and the response is multipath-shaped;
-    # a runless frequency crossing (flat response) counts as unbounded
+    # the direct ray is negligible and the response is multipath-shaped.
+    # A run whose response never falls 3 dB inside the frequency grid has
+    # no bandwidth: bandwidth_mean and bandwidth_se cover only the
+    # n_defined runs that cross (a mean conditional on crossing), while
+    # bandwidth_median counts the others as unbounded
     eff0 = cfg.merged({
         "array": {
             "rows": 1, "cols": 1,
@@ -440,6 +444,17 @@ def list_experiments() -> list[tuple[str, str]]:
     return [(name, PRESETS[name].description) for name in sorted(PRESETS)]
 
 
+def _count(what: str, value) -> int:
+    """``value`` as a plain int; a bool or another non-integer raises
+    ConfigValidationError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def run_experiment(
     name: str,
     cfg: SimulationConfig | None = None,
@@ -451,8 +466,9 @@ def run_experiment(
     ``ensemble`` overrides the preset's default run count; it never
     changes the statistical meaning of a row. Runs are always serial:
     ``threads`` is deprecated and ignored, apart from a count below 1,
-    which is still refused. Out-of-range values raise
-    ConfigValidationError before any scene is built.
+    which is still refused. Both are integers; a bool, another
+    non-integer or an out-of-range value raises ConfigValidationError
+    before any scene is built.
     """
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
@@ -460,12 +476,12 @@ def run_experiment(
     preset = PRESETS[name]
     if cfg is None:
         cfg = default_config()
-    n_runs = preset.default_ensemble if ensemble is None else int(ensemble)
+    n_runs = preset.default_ensemble if ensemble is None else _count("ensemble size", ensemble)
     if n_runs < preset.min_ensemble:
         raise ConfigValidationError(
             f"{name} needs an ensemble size of at least {preset.min_ensemble}")
     if threads is not None:
-        if int(threads) < 1:
+        if _count("thread count", threads) < 1:
             raise ConfigValidationError("thread count must be at least 1")
         warnings.warn("threads is deprecated and ignored: runs are serial",
                       FutureWarning, stacklevel=2)

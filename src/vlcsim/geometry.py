@@ -246,6 +246,12 @@ def points_to_lcs_ij(
 
 # === receiver geometry ===
 
+def _head_angles(azimuth, elevation, rot_azimuth, rot_elevation, t) -> tuple[float, float]:
+    """The head's (azimuth, elevation) at time ``t``: rotation advances
+    both linearly in time."""
+    return azimuth + rot_azimuth * t, elevation + rot_elevation * t
+
+
 def pd_normals(
     n_pd: int,
     theta_pd: float,
@@ -269,8 +275,7 @@ def pd_normals(
     if n_pd > 1 and not 0.0 < theta_pd < math.pi / 2:
         raise InvalidAdrError("side detector tilt must lie in (0, pi/2)")
 
-    az = azimuth + rot_azimuth * t
-    el = elevation + rot_elevation * t
+    az, el = _head_angles(azimuth, elevation, rot_azimuth, rot_elevation, t)
     out = [direction(az, el)]
     if n_pd > 1:
         m = gcs_to_lcs_pd(az, el)

@@ -117,6 +117,11 @@ class Receiver:
         """Position at time ``t``, or one row per time of a 1-D array ``t``."""
         return self.initial_position + np.multiply.outer(self.speed * np.asarray(t), self.heading)
 
+    def _head_angles(self, t: float) -> tuple[float, float]:
+        """The (azimuth, elevation) that :meth:`pd_normals` turns the head to at ``t``."""
+        return geometry._head_angles(self.azimuth, self.elevation, self.rot_azimuth,
+                                     self.rot_elevation, t)
+
     def pd_normals(self, t: float) -> list[np.ndarray]:
         return geometry.pd_normals(
             self.n_pd,

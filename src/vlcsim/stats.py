@@ -130,6 +130,11 @@ class CorrelationSeries:
 
     @property
     def normalized(self) -> np.ndarray:
+        """``values / zero_lag``: E{H_a H_b*} / E{|H_a|^2}, normalised by
+        the anchor's mean power alone, not by sqrt(E{|H_a|^2} E{|H_b|^2}).
+        It is not bounded by 1: where the other link is stronger than the
+        anchor it can exceed 1 (``ccf-space`` writes ``corr_abs`` 30.78 for
+        L44 against (1, 1) at the default config)."""
         return self.values / self.zero_lag
 
     @property
@@ -183,7 +188,7 @@ def stfcf(
     is not three integers raises ``ValueError`` before any scene is
     evaluated; so do a non-finite ``t``, ``f`` or lag and lags that are
     not 1-D. A link outside the array or the detector head raises
-    ``ValueError`` too.
+    ``ValueError`` too, before any CIR is evaluated.
     This is the one-request case of :func:`stfcf_many`, which shares all
     of that across several estimates of one ensemble.
     """
@@ -246,9 +251,11 @@ def stfcf_many(scenes, requests) -> list[CorrelationSeries]:
     instant) CIR once, sharing as :func:`stfcf` does, so for a receiver
     moving past static clusters each LED-side half is built once per
     scene for all requests. The plan it hands :func:`vlcsim.channel._cirs`
-    names the links of each instant, so a stacked pass over a block of
-    instants evaluates just those (link, instant) pairs. Only the
-    current block and the scene's H values are kept while it runs.
+    names the links of each instant. A stacked pass over a block of
+    instants evaluates every element and detector that the block's
+    instants name at each of those instants, and hands out only the
+    planned (link, instant) CIRs. Only the current block and the scene's
+    H values are kept while it runs.
     """
     scenes = _check_ensemble(scenes)
     plans = [_request(*request) for request in requests]

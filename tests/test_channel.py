@@ -867,17 +867,38 @@ PLAN_MOTIONS = {
 }
 
 
-@pytest.mark.parametrize("per_instant", [False, True], ids=["every-link", "links-per-instant"])
+PLAN_SHAPES = {
+    # an instant asked for twice
+    "every-link": ([0.0, 0.0, 0.1], None),
+    # links that differ per instant
+    "links-per-instant": ([0.0, 0.0, 0.1],
+                          [[(1, 1, 1), (2, 2, 3)], [(1, 2, 2)], [(2, 2, 3), (1, 1, 1), (1, 1, 2)]]),
+    # element sets that differ per instant, one of them named twice
+    "element-sets": ([0.0, 0.1, 0.2, 0.3, 0.4],
+                     [[(2, 2, 1), (1, 1, 3)], [(1, 2, 2)], [(1, 1, 1), (2, 2, 2)], [(1, 2, 1)],
+                      [(2, 1, 3)]]),
+}
+
+
+@pytest.mark.parametrize("shape", list(PLAN_SHAPES))
 @pytest.mark.parametrize("motion", sorted(PLAN_MOTIONS))
-def test_cirs_follow_the_plan_and_equal_lone_calls(motion, per_instant):
-    # an instant asked for twice, and links that differ per instant: each
-    # (k, link) comes in plan order, and each CIR has the bytes of a lone call
+def test_cirs_follow_the_plan_and_equal_lone_calls(motion, shape, monkeypatch):
+    # each (k, link) comes in plan order, and each CIR has the bytes of a
+    # lone call; a block's layout holds every element its instants name
     scene = _moving_config(rot_az=40.0, **PLAN_MOTIONS[motion]).build_scene(SEED)
-    times = [0.0, 0.0, 0.1]
+    times, links = PLAN_SHAPES[shape]
     every = [(i, j, p) for i in (1, 2) for j in (1, 2) for p in (1, 2, 3)]
-    links = [[(1, 1, 1), (2, 2, 3)], [(1, 2, 2)], [(2, 2, 3), (1, 1, 1), (1, 1, 2)]]
-    plan = links if per_instant else [every] * len(times)
-    got = list(vlcsim.channel._cirs(scene, times, links if per_instant else None))
+    plan = links or [every] * len(times)
+    builder = vlcsim.channel._layout
+    built = []
+
+    def counting(block, t):
+        built.append(block.elements)
+        return builder(block, t)
+
+    monkeypatch.setattr(vlcsim.channel, "_layout", counting)
+    got = list(vlcsim.channel._cirs(scene, times, plan))
+    monkeypatch.undo()
     assert [(k, link) for k, link, _ in got] == [(k, link) for k, asked in enumerate(plan)
                                                  for link in asked]
     for k, (i, j, p), cir in got:
@@ -885,9 +906,20 @@ def test_cirs_follow_the_plan_and_equal_lone_calls(motion, per_instant):
         assert (cir.element, cir.pd, cir.time) == ((i, j), p, times[k])
         for name in CIR_FIELDS:
             assert _tobytes_equal(getattr(cir, name), getattr(lone, name)), name
+    # where nothing moves, the instants that name the same elements share
+    # one layout; otherwise each block builds its own over their union
+    named = {(i, j) for asked in plan for i, j, _ in asked}
+    size = max(vlcsim.channel._STACK_BLOCK // len(named), 1) if motion == "moving-receiver" else 1
+    blocks = [tuple(sorted({(i, j) for asked in plan[s:s + size] for i, j, _ in asked}))
+              for s in range(0, len(plan), size)]
+    assert built == (list(dict.fromkeys(blocks)) if motion == "static" else blocks)
+    # a link out of range anywhere in the plan stops it before its first CIR
+    bad = [*plan[:-1], [*plan[-1], (1, 3, 1)]]
+    with pytest.raises(ValueError, match=re.escape("sub-channel (1, 3, 1) is out of range")):
+        next(vlcsim.channel._cirs(scene, times, bad))
     mats = channel_over_time(scene, times)
     assert [m.time for m in mats] == times
-    for m in mats[:2]:
+    for m in mats:
         assert list(m.cirs) == every
 
 
@@ -1015,10 +1047,11 @@ def test_stacked_blocks_equal_lone_fresh_calls(case, start, t, n_lags):
             assert _tobytes_equal(getattr(cir, name), getattr(fresh, name)), name
 
 
-def test_a_link_wanted_only_at_its_anchor_gets_no_rx_half_at_the_lags(monkeypatch):
-    # the plan stacks only the (link, instant) pairs stfcf_many asks for:
-    # the anchor link's legs are built at the anchor alone, the other
-    # link's at each lag instant, in blocks of at most _STACK_BLOCK
+def test_a_two_link_plan_stacks_the_elements_each_block_names(monkeypatch):
+    # the plan names two elements, so blocks hold _STACK_BLOCK // 2
+    # instants, and a block's layout holds every element its instants
+    # name: the anchor link's legs are built over the whole first block,
+    # the other link's over every block
     builder = vlcsim.channel._bounce_leg
     stacks = []
 
@@ -1030,7 +1063,9 @@ def test_a_link_wanted_only_at_its_anchor_gets_no_rx_half_at_the_lags(monkeypatc
     scenes = [_moving_config(rx_speed=0.5).build_scene(s) for s in (SEED, SEED + 1)]
     lags = [0.05 * k for k in range(1, 12)]
     stfcf_many(scenes, [((1, 1, 1), (2, 2, 1), 0.3, 1e8, lags, 0.0)])
-    block = vlcsim.channel._STACK_BLOCK
+    size = vlcsim.channel._STACK_BLOCK // 2
+    n = 1 + len(lags)   # the anchor, then the lag instants
+    blocks = [min(size, n - s) for s in range(0, n, size)]
     for scene in scenes:
         built = _bounce_keys(scene, [(1, 1), (2, 2)])
         assert {(i, j) for i, j, _ in built} == {(1, 1), (2, 2)}
@@ -1038,10 +1073,8 @@ def test_a_link_wanted_only_at_its_anchor_gets_no_rx_half_at_the_lags(monkeypatc
             anchor = [k for s, e, kd, k in stacks if s is scene and e == (1, 1) and kd == kind]
             lagged = [k for s, e, kd, k in stacks if s is scene and e == (2, 2) and kd == kind]
             # a leg without a visible cluster is never built
-            assert anchor == ([1] if (1, 1, kind) in built else [])
-            # the anchor and the first block - 1 lags share the first block
-            assert lagged == ([block - 1, len(lags) - (block - 1)] if (2, 2, kind) in built
-                              else [])
+            assert anchor == (blocks[:1] if (1, 1, kind) in built else [])
+            assert lagged == (blocks if (2, 2, kind) in built else [])
 
 
 def test_stacked_blocks_build_each_tx_half_once_per_scene(tx_half_builds):

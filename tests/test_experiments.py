@@ -141,6 +141,13 @@ def test_run_experiment_guards(monkeypatch):
         run_experiment("rms-adr", ensemble=0)
     with pytest.raises(ConfigValidationError):
         run_experiment("ccf-space", threads=0)
+    # counts are integers: 2.7 used to run 2 scenes, True 1 and "3" 3
+    for bad in (2.7, True, np.True_, "3"):
+        with pytest.raises(ConfigValidationError, match="ensemble size must be an integer"):
+            run_experiment("rms-adr", ensemble=bad)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ConfigValidationError, match="thread count must be an integer"):
+            run_experiment("ccf-space", threads=bad)
     for name in ("acf-time", "ccf-space", "fcf-color"):
         with pytest.raises(ConfigValidationError, match="at least 2"):
             run_experiment(name, ensemble=1)
@@ -185,9 +192,11 @@ def test_run_experiment_provenance(ccf_table):
 
 
 def test_run_experiment_thread_count_does_not_change_bytes(ccf_table):
-    # runs are serial: a thread count is deprecated, warned about and ignored
+    # runs are serial: a thread count is deprecated, warned about and
+    # ignored; numpy integers count as integers
     with pytest.warns(FutureWarning, match="threads is deprecated"):
-        pooled = run_experiment("ccf-space", default_config(), ensemble=3, threads=4)
+        pooled = run_experiment("ccf-space", default_config(), ensemble=np.int64(3),
+                                threads=np.int32(4))
     assert pooled.to_csv() == ccf_table.to_csv()
 
 
