@@ -232,15 +232,19 @@ def _bounce_leg(block: _Block, t: float, i: int, j: int, idx: np.ndarray, kind: 
     carry no power before the detector; what is left holds for every
     detector normal. The LED-side half comes from the block's
     ``tx_halves`` under ``(i, j, kind)``, and is built into it on a
-    miss. ``idx`` is always the scene's clusters of that kind visible at
-    (i, j), and the dict's clusters do not move, so one key names one
-    half. Lengths and dot products come from :func:`geometry._norms` and
+    miss, or dropped after use where ``tx_halves`` is None. ``idx`` is
+    always the scene's clusters of that kind visible at (i, j), and the
+    dict's clusters do not move, so one key names one half. Lengths and
+    dot products come from :func:`geometry._norms` and
     :func:`geometry._dots`, so each value has the bits of the same ray's
     row in ``(N, 3)`` arrays.
     """
-    tx = block.tx_halves.get((i, j, kind))
+    halves = block.tx_halves
+    tx = None if halves is None else halves.get((i, j, kind))
     if tx is None:
-        tx = block.tx_halves[(i, j, kind)] = _tx_half(block, t, i, j, idx, kind)
+        tx = _tx_half(block, t, i, j, idx, kind)
+        if halves is not None:
+            halves[(i, j, kind)] = tx
 
     vec = rx.T[:, :, None] - tx.exit_point[:, None, :]    # (3, K, n)
     d_r = geometry._norms(vec)
@@ -405,16 +409,17 @@ class _Block:
     one stacked pass, and ``finished`` maps ``(p, position)`` to the
     finish that holds that instant's taps. ``layouts`` maps ``elements``
     to the layout. ``tx_halves`` maps ``(i, j, kind)`` to the LED-side
-    half of a bounce leg. ``normals`` maps the bits of the head's rotated
-    (azimuth, elevation) to its detector normals, for the last angles
-    seen. :func:`_cirs` shares ``layouts``, ``tx_halves`` and ``normals``
+    half of a bounce leg, or is None where no later layout reads a half
+    again. ``normals`` maps the bits of the head's rotated (azimuth,
+    elevation) to its detector normals, for the last angles seen.
+    :func:`_cirs` shares ``layouts``, ``tx_halves`` and ``normals``
     across blocks where that is safe.
     """
 
     scene: Scene
     times: tuple
     elements: tuple = ()
-    tx_halves: dict = field(default_factory=dict)
+    tx_halves: dict | None = None
     layouts: dict = field(default_factory=dict)
     finished: dict = field(default_factory=dict)
     normals: dict = field(default_factory=dict)
@@ -537,13 +542,13 @@ def _cirs(scene: Scene, times, links) -> Iterator[tuple[int, tuple, Cir]]:
     size = max(_STACK_BLOCK // n_elements, 1) if stacked else 1
     layouts: dict = {}
     normals: dict = {}
-    halves: dict = {}
+    halves = {} if stacked else None   # only a stacked pass reads a half twice
     for start in range(0, len(times), size):
         chunk = tuple(times[start:start + size])
         plan = links[start:start + size]
         elements = tuple(sorted({named[link] for asked in plan for link in asked}))
-        block = _Block(scene, chunk, elements, halves if stacked else {},
-                       {} if moving else layouts, normals=normals)
+        block = _Block(scene, chunk, elements, halves, {} if moving else layouts,
+                       normals=normals)
         for q, asked in enumerate(plan):
             for link in asked:
                 yield start + q, link, cir_snapshot(*link, scene, chunk[q], _shared=(block, q))

@@ -147,7 +147,7 @@ def _require(cond: bool, message: str):
 
 def _number(value, where, lo=None, hi=None, integer=False):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{where} must be a number")
+             f"{where} must be a number, got {value!r}")
     _require(math.isfinite(value), f"{where} must be finite")
     if integer:
         _require(float(value).is_integer(), f"{where} must be an integer")
@@ -160,10 +160,12 @@ def _number(value, where, lo=None, hi=None, integer=False):
 
 
 def _num(tree, section, key, lo=None, hi=None, integer=False, optional=False):
+    # stores the checked value back: an integer key given as 2.0 holds 2
     value = tree[section][key]
     if value is None and optional:
         return None
-    return _number(value, f"{section}.{key}", lo, hi, integer)
+    tree[section][key] = value = _number(value, f"{section}.{key}", lo, hi, integer)
+    return value
 
 
 def _validate(tree: dict):

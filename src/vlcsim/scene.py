@@ -186,9 +186,7 @@ class ClusterSet:
     A set made by :meth:`on_demand` draws row k only when it is first
     read, through :meth:`take` or a full field, which draws every row.
     Each row comes from its own stream, so its bits do not depend on
-    which rows were drawn before it. Setting up that stream
-    (``SeedSequence`` plus ``PCG64``) is the floor of a row's cost, about
-    15 µs of the ~50 µs a default row takes on a 2-vCPU VM.
+    which rows were drawn before it.
     """
 
     def __init__(self, scatterers0, normals, reflectance, area_per_scatterer, velocity):
@@ -396,8 +394,7 @@ def sample_cluster(
     in a fixed order (azimuth, elevation and distance per attempt, one
     uniform for the material, then the (m, 3) offsets), and the
     arithmetic is pinned bit for bit by an independent oracle in the
-    tests. A default row takes ~30 µs here, beside the ~15 µs of setting
-    up its stream (see :class:`ClusterSet`).
+    tests.
     """
     if side == "tx":
         az_mean, az_std = dist.tx_azimuth_mean, dist.tx_azimuth_std

@@ -27,7 +27,6 @@ from .scene import Scene
 
 __all__ = [
     "CorrelationSeries",
-    "Ctf",
     "PathLossFit",
     "ShadowingStats",
     "acf",
@@ -49,46 +48,19 @@ __all__ = [
 
 # === transfer function ===
 
-@dataclass(frozen=True, eq=False)
-class Ctf:
-    """Channel transfer function samples of one sub-channel at one instant.
-
-    Keeps the originating tap arrays so |H| can be re-evaluated exactly
-    between grid points (bandwidth refinement).
-    """
-
-    freqs: np.ndarray
-    values: np.ndarray
-    element: tuple[int, int]
-    pd: int
-    time: float
-    tap_powers: np.ndarray
-    tap_delays: np.ndarray
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
 def _response(powers: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     phase = np.exp(-2j * math.pi * np.outer(freqs, delays))
     return phase @ powers.astype(complex)
 
 
-def ctf(cir: Cir, freqs) -> Ctf:
-    """Transfer function H(f) = sum of P * exp(-j 2 pi f tau) on a grid."""
+def ctf(cir: Cir, freqs) -> np.ndarray:
+    """Transfer function H(f) = sum of P * exp(-j 2 pi f tau) on a grid, as
+    a complex array, not the ``Ctf`` record it used to return; an empty
+    CIR raises :class:`EmptyCirError`."""
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if cir.powers.size == 0:
         raise EmptyCirError("impulse response has no taps")
-    return Ctf(
-        freqs,
-        _response(cir.powers, cir.delays, freqs),
-        cir.element,
-        cir.pd,
-        cir.time,
-        cir.powers,
-        cir.delays,
-    )
+    return _response(cir.powers, cir.delays, freqs)
 
 
 def transfer(
@@ -371,37 +343,21 @@ def rms_delay_spread(cir: Cir) -> float:
 _SCAN_BLOCK = 128  # grid points per H(f) block of the bandwidth scan
 
 
-def bandwidth_3db(transfer_fn: Ctf | Cir, freqs=None) -> float | None:
+def bandwidth_3db(cir: Cir, freqs) -> float | None:
     """Smallest frequency where |H(f)|^2 falls to half of |H(0)|^2.
 
-    Takes a :class:`Ctf`, or an impulse response and the frequency grid.
-    Scans the grid in blocks of 128 points for the first crossing and
-    refines it by bisection to a relative tolerance of 1e-3. None when
-    the magnitude never crosses inside the grid. Given a ``Cir``, H(f) is
-    evaluated one block at a time and never past the block that holds
-    the crossing; each block has the bits of the same rows of
-    ``ctf(cir, freqs)``, so the result equals
-    ``bandwidth_3db(ctf(cir, freqs))`` exactly.
+    Takes an impulse response and its frequency grid, both required; the
+    form that took a ``Ctf`` record is gone. Scans the grid in blocks of
+    128 points for the first crossing and refines it by bisection to a
+    relative tolerance of 1e-3. None when the magnitude never crosses
+    inside the grid. H(f) is evaluated one block at a time and never past
+    the block that holds the crossing; each block has the bits of the same
+    rows of ``ctf(cir, freqs)``.
     """
-    if isinstance(transfer_fn, Ctf):
-        if freqs is not None:
-            raise TypeError("a Ctf carries its own frequency grid")
-        powers, delays = transfer_fn.tap_powers, transfer_fn.tap_delays
-        freqs = transfer_fn.freqs
-        mag2 = transfer_fn.magnitude ** 2
-
-        def block(a: int, b: int) -> np.ndarray:
-            return mag2[a:b]
-    else:
-        if freqs is None:
-            raise TypeError("an impulse response needs the frequency grid")
-        if transfer_fn.powers.size == 0:
-            raise EmptyCirError("impulse response has no taps")
-        powers, delays = transfer_fn.powers, transfer_fn.delays
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-
-        def block(a: int, b: int) -> np.ndarray:
-            return np.abs(_response(powers, delays, freqs[a:b])) ** 2
+    if cir.powers.size == 0:
+        raise EmptyCirError("impulse response has no taps")
+    powers, delays = cir.powers, cir.delays
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
 
     def gain2(freq: float) -> float:
         return abs(_response(powers, delays, np.atleast_1d(freq))[0]) ** 2
@@ -411,7 +367,8 @@ def bandwidth_3db(transfer_fn: Ctf | Cir, freqs=None) -> float | None:
         raise ZeroGainError("bandwidth needs a positive DC response")
     target = 0.5 * h0
     for start in range(0, freqs.size, _SCAN_BLOCK):
-        below = np.flatnonzero(block(start, start + _SCAN_BLOCK) <= target)
+        mag2 = np.abs(_response(powers, delays, freqs[start:start + _SCAN_BLOCK])) ** 2
+        below = np.flatnonzero(mag2 <= target)
         if below.size:
             k = start + below[0]
             break

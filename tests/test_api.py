@@ -1,8 +1,11 @@
+import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,23 +23,50 @@ def test_every_exported_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_hooks_resolve():
     # the benchmark wraps these names by lookup; renaming or inlining one
     # must fail here rather than in a benchmark run
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     missing = [(owner.__name__, attr) for owner, attr, _ in tracing.patch_points()
                if attr not in vars(owner)]
     assert missing == []
     assert config.default_config().threads == 1
 
 
+_WORKLOADS = _perfbench("workloads")
+
+
+@pytest.mark.parametrize("workload, preset, ensemble", [
+    (workload, preset, ensemble)
+    for workload, tables in _WORKLOADS.WORKLOADS.items() for preset, ensemble in tables
+])
+def test_tables_match_the_benchmark_reference(workload, preset, ensemble):
+    # output bytes are the contract: each benchmark table at the default
+    # seed has the CSV sha256 that perfbench/reference.json records
+    seed = _WORKLOADS.DEFAULT_SEED
+    reference = json.loads((_ROOT / "perfbench" / "reference.json").read_text())
+    cfg = vlcsim.loads_config(_WORKLOADS.config_text(seed))
+    table = experiments.run_experiment(preset, cfg, ensemble=ensemble)
+    got = hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
+    assert got == reference["csv_sha256"][str(seed)][workload][preset]
+
+
 def test_readme_python_blocks_run(capsys):
     # the blocks run in order and share one namespace: later ones use
     # names the Quick start defines
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = _ROOT / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
     assert len(blocks) >= 2
     namespace = {}
@@ -44,6 +74,20 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, str(readme), "exec"), namespace)
     assert "DC gain" in capsys.readouterr().out
     assert namespace["moving"].data["receiver"]["speed_m_s"] == 0.5
+
+
+def test_readme_yaml_blocks_load_as_the_defaults():
+    # PyYAML reads YAML 1.1, where 2.0e8 is a string: the reference block
+    # must load, warn about nothing and give exactly the defaults
+    readme = _ROOT / "README.md"
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert config.loads_config(block) == config.default_config()
+    with pytest.raises(vlcsim.ConfigValidationError, match="max_hz must be a number, got '2.0e8'"):
+        config.loads_config("frequency: {max_hz: 2.0e8}\n")
 
 
 _SCIPY_FREE = """

@@ -650,6 +650,37 @@ def test_static_clusters_build_each_tx_half_once_per_call(tx_half_builds, motion
             tx_half_builds.clear()
 
 
+@pytest.mark.parametrize("motion, stacked", [({}, False), ({"rot_az": 45.0}, False),
+                                            ({"rx_speed": 0.5, "cluster_speed": 0.5}, False),
+                                            ({"rx_speed": 0.5}, True)])
+def test_a_block_that_is_not_stacked_holds_no_half_once_its_layout_is_built(monkeypatch, motion,
+                                                                          stacked):
+    # only a stacked pass reads a half again; elsewhere each half dies with its leg
+    halves, seen = [], []
+    tx_half, layout = vlcsim.channel._tx_half, vlcsim.channel._layout
+
+    def keeping(*args):
+        half = tx_half(*args)
+        halves.append(weakref.ref(half.exit_point))
+        return half
+
+    def checking(block, t):
+        out = layout(block, t)
+        gc.collect()
+        seen.append((block.tx_halves is None, any(ref() is not None for ref in halves)))
+        return out
+
+    monkeypatch.setattr(vlcsim.channel, "_tx_half", keeping)
+    monkeypatch.setattr(vlcsim.channel, "_layout", checking)
+    scene = _moving_config(**motion).build_scene(SEED)
+    channel_over_time(scene, [0.0, 0.2])
+    acf([scene, scene], (1, 2, 1), 0.3, 1e8, [0.0, 0.1])
+    if not stacked:
+        cir_snapshot(2, 2, 1, scene, 0.1)
+    assert halves and seen
+    assert set(seen) == ({(False, True)} if stacked else {(True, False)})
+
+
 def test_drifting_clusters_build_tx_halves_every_instant(tx_half_builds):
     scenes = [_moving_config(rx_speed=0.5, cluster_speed=0.5).build_scene(s)
               for s in (SEED, SEED + 1)]

@@ -247,6 +247,33 @@ def test_scene_fingerprint_is_config_hash():
     assert scene.fingerprint == config_hash(cfg)
 
 
+INTEGER_KEYS = [
+    ("array", "rows", 2),
+    ("array", "cols", 3),
+    ("receiver", "n_pd", 3),
+    ("clusters", "scatterers_per_cluster", 10),
+    ("frequency", "points", 64),
+    ("ensemble", "master_seed", 5),
+    ("ensemble", "size", 100),
+    ("ensemble", "threads", 4),
+]
+
+
+@pytest.mark.parametrize("section, key, value", INTEGER_KEYS)
+def test_integer_key_given_as_a_whole_float_holds_its_int(section, key, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FutureWarning)   # ensemble.size and .threads
+        as_int = loads_config(f"{section}:\n  {key}: {value}\n")
+        loaded = loads_config(f"{section}:\n  {key}: {float(value)}\n")
+        merged = default_config().merged({section: {key: float(value)}})
+    for cfg in (loaded, merged):
+        got = cfg.data[section][key]
+        assert type(got) is int and got == value
+        assert cfg == as_int
+        assert config_hash(cfg) == config_hash(as_int)
+    assert type(loaded.threads) is int
+
+
 DEPRECATED = [
     ("time", "start_s", 0.5),
     ("time", "stop_s", 3.0),

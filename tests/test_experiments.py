@@ -303,6 +303,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_runs_a_config_with_a_whole_float_integer_key(tmp_path):
+    cfg = tmp_path / "rows.yaml"
+    cfg.write_text("array:\n  rows: 2.0\n")
+    assert main(["--experiment", "power-vs-distance", "--ensemble", "1", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "power-vs-distance.csv").exists()
+
+
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
     for key, text in [
         ("receiver.distance_m", "receiver:\n  distance_m: .inf\n"),
