@@ -364,26 +364,20 @@ def _finish(layout: _Layout, normals: list, optics_cfg):
     """The taps of every element and instant of ``layout``, seen by a
     detector with the normal ``normals[r]`` at the r-th instant.
 
-    Each run of instants with one normal gets one gemv, and its
-    one-candidate rays one stack of dot products. Returns (power, delay,
-    kind, cluster_id, scatterer_id), ordered as the layout and sorted by
-    delay within each element and instant, and the list of cuts: the
-    taps of span s of ``layout.bounds`` are ``cuts[s]:cuts[s + 1]``.
+    Each instant gets one gemv, and its one-candidate rays one stack of
+    dot products. Returns (power, delay, kind, cluster_id, scatterer_id),
+    ordered as the layout and sorted by delay within each element and
+    instant, and the list of cuts: the taps of span s of
+    ``layout.bounds`` are ``cuts[s]:cuts[s + 1]``.
     """
     u, single, rows = layout.u, layout.single, layout.rows
     dots = np.empty(u.shape[0])
-    start = 0
-    while start < len(normals):
-        n_pd = normals[start]
-        end = start + 1
-        while end < len(normals) and normals[end].tobytes() == n_pd.tobytes():
-            end += 1
-        a, b = rows[start], rows[end]
+    for n_pd, a, b in zip(normals, rows, rows[1:]):
         if a < b:
+            # row b is the pad or the next instant's first row, which its own gemv rewrites
             dots[a:b + 1] = u[a:b + 1] @ n_pd
             s, e = single.searchsorted((a, b))
             dots[single[s:e]] = (layout.u_single[s:e] @ n_pd)[:, 0]
-        start = end
     cos_pd = -dots[:-1]
     gain, in_fov = _pd_incidence(optics_cfg, cos_pd)
     power = layout.head * np.maximum(cos_pd, 0.0) / layout.dr2 * gain * layout.mid
@@ -406,8 +400,8 @@ class _Block:
     lists, sorted, every element whose CIR some call of the block asks
     for. The block's one layout holds each of them at each of its
     instants, so the first call at a detector ``p`` finishes them all in
-    one stacked pass, and ``finished`` maps ``(p, position)`` to the
-    finish that holds that instant's taps. ``layouts`` maps ``elements``
+    one stacked pass, and ``finished`` maps ``p`` to that finish, which
+    holds the taps of every instant. ``layouts`` maps ``elements``
     to the layout. ``tx_halves`` maps ``(i, j, kind)`` to the LED-side
     half of a bounce leg, or is None where no later layout reads a half
     again. ``normals`` maps the bits of the head's rotated (azimuth,
@@ -477,25 +471,24 @@ def cir_snapshot(i: int, j: int, p: int, scene: Scene, t: float, *, _shared=None
     another mask of the same shape, pass
     ``dataclasses.replace(scene, visibility=mask)``. Only :func:`_cirs`
     passes ``_shared``, the ``(block, position)`` of a call whose work it
-    shares with other calls; every result has the bits of a lone call.
+    shares with other calls; the call reads its element's span at that
+    position from the block's finish at ``p``. Every result has the bits
+    of a lone call.
     """
     i, j, p = _in_range(scene, i, j, p)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time t = {t} is not finite")
     block, q = (_Block(scene, (t,), ((i, j),)), 0) if _shared is None else _shared
-    done = block.finished.get((p, q))
+    done = block.finished.get(p)
     if done is None:
         layout = block.layouts.get(block.elements)
         if layout is None:
             layout = block.layouts[block.elements] = _layout(block, t)
         normals = [pd[p - 1] for pd in block.pd_normals]
-        fields, cuts = _finish(layout, normals, scene.receiver.optics)
-        for r in range(len(block.times)):
-            block.finished[(p, r)] = fields, cuts, r * len(block.elements)
-        done = block.finished[(p, q)]
-    fields, cuts, base = done
-    e = base + block.elements.index((i, j))
+        done = block.finished[p] = _finish(layout, normals, scene.receiver.optics)
+    fields, cuts = done
+    e = q * len(block.elements) + block.elements.index((i, j))
     return Cir(*(x[cuts[e]:cuts[e + 1]] for x in fields), (i, j), p, t)
 
 

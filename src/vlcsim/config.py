@@ -148,7 +148,11 @@ def _require(cond: bool, message: str):
 def _number(value, where, lo=None, hi=None, integer=False):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where} must be a number, got {value!r}")
-    _require(math.isfinite(value), f"{where} must be finite")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        raise ConfigValidationError(f"{where} is too large for a float") from None
+    _require(finite, f"{where} must be finite")
     if integer:
         _require(float(value).is_integer(), f"{where} must be an integer")
         value = int(value)
@@ -176,7 +180,7 @@ def _validate(tree: dict):
     for key in ("row_azimuth_deg", "row_elevation_deg", "col_azimuth_deg",
                 "col_elevation_deg"):
         _num(tree, "array", key)
-    _num(tree, "array", "tx_power_w", lo=0.0)
+    _require(_num(tree, "array", "tx_power_w") > 0.0, "array.tx_power_w must be > 0")
     pattern = tree["array"]["pattern"]
     _require(pattern["type"] in _PATTERN_TYPES,
              f"array.pattern.type must be one of {_PATTERN_TYPES}")
@@ -204,7 +208,7 @@ def _validate(tree: dict):
              "receiver.concentrator must be true/false")
     _require(tree["receiver"]["concentrator_mode"] in ("constant", "pointwise"),
              "receiver.concentrator_mode must be 'constant' or 'pointwise'")
-    _num(tree, "receiver", "filter_gain", lo=0.0)
+    _require(_num(tree, "receiver", "filter_gain") > 0.0, "receiver.filter_gain must be > 0")
 
     _num(tree, "evolution", "birth_rate_per_m", lo=1e-12)
     _num(tree, "evolution", "death_rate_per_m", lo=1e-12)

@@ -109,23 +109,13 @@ def result_schema() -> dict:
     return json.loads(_SCHEMA_PATH.read_text())
 
 
-def _validate_result(doc: dict):
-    try:
-        import jsonschema
-    except ImportError:
-        return
-    jsonschema.validate(doc, result_schema())
-
-
 def export(table: ResultTable, path, fmt: str):
     """Write a table as CSV (provenance in '#' header lines) or JSON."""
     path = Path(path)
     if fmt == "csv":
         path.write_text(table.to_csv(), encoding="utf-8")
     elif fmt == "json":
-        doc = table.to_json()
-        _validate_result(doc)
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(table.to_json(), indent=2, sort_keys=True, allow_nan=False)
         path.write_text(text + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown export format: {fmt!r}")

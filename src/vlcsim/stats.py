@@ -53,11 +53,23 @@ def _response(powers: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> np.n
     return phase @ powers.astype(complex)
 
 
+def _axis(values, name: str, item: str) -> np.ndarray:
+    """``values`` as a 1-D float array (a scalar gives one point). Raises
+    ``ValueError`` for more than one dimension, naming ``name``, and for a
+    value that is not finite, naming it as ``item``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or 1-D, got an array of shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{item} {arr[~np.isfinite(arr)].flat[0]} is not finite")
+    return np.atleast_1d(arr)
+
+
 def ctf(cir: Cir, freqs) -> np.ndarray:
     """Transfer function H(f) = sum of P * exp(-j 2 pi f tau) on a grid, as
-    a complex array, not the ``Ctf`` record it used to return; an empty
-    CIR raises :class:`EmptyCirError`."""
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    a complex array. A grid that is not a scalar or 1-D, or not finite,
+    raises ``ValueError``; an empty CIR raises :class:`EmptyCirError`."""
+    freqs = _axis(freqs, "freqs", "frequency")
     if cir.powers.size == 0:
         raise EmptyCirError("impulse response has no taps")
     return _response(cir.powers, cir.delays, freqs)
@@ -69,10 +81,11 @@ def transfer(
     t: float,
     freqs,
 ) -> np.ndarray:
-    """H(t, f) of one sub-channel directly from a scene (empty CIR -> 0)."""
+    """H(t, f) of one sub-channel directly from a scene (empty CIR -> 0).
+    The grid is checked as in :func:`ctf`, before the CIR is evaluated."""
     i, j, p = _link(link)
+    freqs = _axis(freqs, "freqs", "frequency")
     cir = cir_snapshot(i, j, p, scene, t)
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     return _response(cir.powers, cir.delays, freqs)
 
 
@@ -192,20 +205,13 @@ def _link(link) -> tuple[int, int, int]:
 
 def _request(link, other_link, t, f, dt_lags, df_lags) -> _Request:
     link, other_link = _link(link), _link(other_link)
-    dt_arr = np.asarray(dt_lags, dtype=float)
-    df_arr = np.asarray(df_lags, dtype=float)
-    for name, lags in (("dt_lags", dt_arr), ("df_lags", df_arr)):
-        if lags.ndim > 1:
-            raise ValueError(f"{name} must be a scalar or 1-D, got an array of shape {lags.shape}")
+    dt_arr = _axis(dt_lags, "dt_lags", "dt lag")
+    df_arr = _axis(df_lags, "df_lags", "df lag")
     if not math.isfinite(t):
         raise ValueError(f"time t = {t} is not finite")
     if not math.isfinite(f):
         raise ValueError(f"frequency f = {f} is not finite")
-    for name, lags in (("dt", dt_arr), ("df", df_arr)):
-        if not np.isfinite(lags).all():
-            raise ValueError(f"{name} lag {lags[~np.isfinite(lags)].flat[0]} is not finite")
-    dt_arr, df_arr = (x.ravel() for x in np.broadcast_arrays(np.atleast_1d(dt_arr),
-                                                              np.atleast_1d(df_arr)))
+    dt_arr, df_arr = (x.ravel() for x in np.broadcast_arrays(dt_arr, df_arr))
     groups = []
     for dt_u in np.unique(dt_arr):
         sel = dt_arr == dt_u
@@ -347,17 +353,17 @@ def bandwidth_3db(cir: Cir, freqs) -> float | None:
     """Smallest frequency where |H(f)|^2 falls to half of |H(0)|^2.
 
     Takes an impulse response and its frequency grid, both required; the
-    form that took a ``Ctf`` record is gone. Scans the grid in blocks of
+    grid is checked as in :func:`ctf`. Scans the grid in blocks of
     128 points for the first crossing and refines it by bisection to a
     relative tolerance of 1e-3. None when the magnitude never crosses
     inside the grid. H(f) is evaluated one block at a time and never past
     the block that holds the crossing; each block has the bits of the same
     rows of ``ctf(cir, freqs)``.
     """
+    freqs = _axis(freqs, "freqs", "frequency")
     if cir.powers.size == 0:
         raise EmptyCirError("impulse response has no taps")
     powers, delays = cir.powers, cir.delays
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
 
     def gain2(freq: float) -> float:
         return abs(_response(powers, delays, np.atleast_1d(freq))[0]) ** 2

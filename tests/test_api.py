@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import vlcsim
@@ -54,13 +55,15 @@ _WORKLOADS = _perfbench("workloads")
 ])
 def test_tables_match_the_benchmark_reference(workload, preset, ensemble):
     # output bytes are the contract: each benchmark table at the default
-    # seed has the CSV sha256 that perfbench/reference.json records
+    # seed has the CSV sha256 that perfbench/reference.json records, and
+    # its JSON follows the result schema, which export does not check
     seed = _WORKLOADS.DEFAULT_SEED
     reference = json.loads((_ROOT / "perfbench" / "reference.json").read_text())
     cfg = vlcsim.loads_config(_WORKLOADS.config_text(seed))
     table = experiments.run_experiment(preset, cfg, ensemble=ensemble)
     got = hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
     assert got == reference["csv_sha256"][str(seed)][workload][preset]
+    jsonschema.validate(table.to_json(), experiments.result_schema())
 
 
 def test_readme_python_blocks_run(capsys):
@@ -112,14 +115,41 @@ print("after:", "scipy.special" in sys.modules)
 """
 
 
+def _python(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports this checkout's vlcsim."""
+    src = str(Path(vlcsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_only_shadowing_stats_imports_scipy():
     # scipy's import costs more than the rest of a run's set-up, so only
     # the one function that needs it may load it, on its first call
-    src = str(Path(vlcsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _python(_SCIPY_FREE)
     lines = proc.stdout.splitlines()
     assert "ccf-space: " in proc.stdout
     assert lines[-2:] == ["before: []", "after: True"]
+
+
+_JSON_EXPORT = """
+import sys
+import tempfile
+from pathlib import Path
+
+from vlcsim.experiments import ResultTable, export
+
+table = ResultTable("demo", ("x",), ("m",), ((1.0,),),
+                    {"config_hash": "0" * 64, "seed": 1, "version": "0.1.0"})
+with tempfile.TemporaryDirectory() as tmp:
+    export(table, Path(tmp) / "demo.json", "json")
+print("jsonschema" in sys.modules)
+"""
+
+
+def test_json_export_does_not_import_jsonschema():
+    # jsonschema is a test-only package: the run path writes JSON without
+    # it, and the tests check the schema
+    assert _python(_JSON_EXPORT).stdout.splitlines() == ["False"]

@@ -291,6 +291,13 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cases += [("spectrum.wavelength_lo_nm",
                f"spectrum:\n  wavelength_lo_nm: 100\n  wavelength_hi_nm: {hi}\n")
               for hi in (200, 100)]
+    # an integer beyond the float range, and a zero gain or power, which
+    # would give a traceback, NaN rows or an all-zero table
+    huge = "1" + "0" * 400
+    cases += [("array.rows", f"array:\n  rows: {huge}\n"),
+              ("frequency.max_hz", f"frequency:\n  max_hz: {huge}\n"),
+              ("receiver.filter_gain", "receiver:\n  filter_gain: 0.0\n"),
+              ("array.tx_power_w", "array:\n  tx_power_w: 0.0\n")]
     for key, text in cases:
         cfg = tmp_path / "contents.yaml"
         cfg.write_text(text)

@@ -97,6 +97,7 @@ def test_ctf_single_tap_phasor():
     assert isinstance(h, np.ndarray) and h.dtype == complex and h.shape == freqs.shape
     assert np.allclose(h, want, rtol=1e-12)
     assert np.allclose(np.abs(h), p, rtol=1e-12)
+    assert ctf(cir, freqs.tolist()).tobytes() == h.tobytes()
     assert ctf(cir, [3.3e7])[0] == pytest.approx(
         p * np.exp(-2j * math.pi * 3.3e7 * tau), rel=1e-12
     )
@@ -228,6 +229,24 @@ def test_bandwidth_from_a_cir_needs_a_grid_and_taps():
         bandwidth_3db(make_cir([], []), [0.0, 1e8])
 
 
+@pytest.mark.parametrize("grid, named", [
+    (None, "frequency nan is not finite"),
+    ([0.0, math.nan], "frequency nan is not finite"),
+    ([[0.0, 1e7]], r"freqs must be a scalar or 1-D, got an array of shape \(1, 2\)"),
+])
+def test_h_of_f_refuses_a_grid_that_is_not_finite_or_1d(grid, named):
+    # a None grid used to become one NaN point: ctf returned [nan] and
+    # bandwidth_3db None, which reads as "never crosses"
+    cir = make_cir([1e-6, 1e-6], [1e-12, 5e-9])
+    scene = default_config().merged(SMALL).build_scene(SEED)
+    with pytest.raises(ValueError, match=named):
+        ctf(cir, grid)
+    with pytest.raises(ValueError, match=named):
+        bandwidth_3db(cir, grid)
+    with pytest.raises(ValueError, match=named):
+        transfer(scene, (1, 1, 1), 0.0, grid)
+
+
 def _lonely_scene():
     """A scene with no clusters whose receiver faces away: no taps at all."""
     no_clusters = ClusterSet(
@@ -252,6 +271,7 @@ def test_transfer_consistency_and_empty():
     scene = cfg.build_scene(SEED)
     freqs = np.array([0.0, 2e7, 9e7])
     full = transfer(scene, (1, 1, 1), 0.0, freqs)
+    assert transfer(scene, (1, 1, 1), 0.0, freqs.tolist()).tobytes() == full.tobytes()
     nlos = ctf(cir_snapshot(1, 1, 1, scene, 0.0).nlos_only(), freqs)
     hidden = dataclasses.replace(scene, visibility=np.zeros_like(scene.visibility))
     tap = cir_snapshot(1, 1, 1, hidden, 0.0)
