@@ -297,6 +297,17 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
+def _delay_order(delay: np.ndarray) -> np.ndarray:
+    """``np.argsort(delay, kind="stable")``. Without ties the order is
+    unique, so the default sort gives it; it falls back to the stable
+    sort unless the sorted delays strictly increase (a tie, or a NaN)."""
+    order = np.argsort(delay)
+    ranked = delay.take(order)
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(delay, kind="stable")
+    return order
+
+
 def _layout(block: _Block, t: float) -> _Layout:
     """The LoS, SB and DB legs of the block's elements at each of its
     instants, computed for all of them at once, with the clusters where
@@ -353,7 +364,7 @@ def _layout(block: _Block, t: float) -> _Layout:
         kind.astype(np.int8),
         cluster,
         scatterer,
-        np.concatenate([np.argsort(delay[a:b], kind="stable") + a
+        np.concatenate([_delay_order(delay[a:b]) + a
                         for a, b in itertools.pairwise(bounds.tolist())]),
         bounds,
         bounds[::len(elements)].tolist(),

@@ -119,7 +119,10 @@ class TabulatedPattern:
         self.azimuth = azimuth
         self._steps = (np.diff(elevation), np.diff(azimuth))
         self.values = values   # the integral reads the raw table through intensity
-        self.values = values / hemisphere_integral(self)
+        power = hemisphere_integral(self)
+        if not (math.isfinite(power) and power > 0.0):
+            raise EmptyPatternError(f"pattern has no finite forward-hemisphere power ({power})")
+        self.values = values / power
 
     def intensity(self, elevation, azimuth):
         el = np.asarray(elevation, dtype=float)
@@ -181,14 +184,24 @@ def _cell(grid, steps, x):
     return i, (x - grid.take(i)) / steps.take(i)
 
 
+_QUADRATURE_ROWS = 19   # elevation rows evaluated at once
+
+
 def hemisphere_integral(pattern) -> float:
     """Forward-hemisphere power of a pattern by trapezoidal quadrature on
-    a 361 x 361 grid."""
+    a 361 x 361 grid.
+
+    The grid is evaluated a block of elevation rows at a time. Every
+    per-point step is elementwise and each row's azimuth trapezoid reduces
+    that row alone, so the bits are those of the whole grid at once.
+    """
     el = np.linspace(-math.pi / 2, math.pi / 2, 361)
     az = np.linspace(-math.pi / 2, math.pi / 2, 361)
-    ee, aa = np.meshgrid(el, az, indexing="ij")
-    f = pattern.intensity(ee, aa) * np.cos(ee)
-    inner = np.trapezoid(f, az, axis=1)
+    inner = np.empty(el.size)
+    for a in range(0, el.size, _QUADRATURE_ROWS):
+        ee, aa = np.meshgrid(el[a:a + _QUADRATURE_ROWS], az, indexing="ij")
+        inner[a:a + _QUADRATURE_ROWS] = np.trapezoid(pattern.intensity(ee, aa) * np.cos(ee),
+                                                     az, axis=1)
     return float(np.trapezoid(inner, el))
 
 

@@ -344,10 +344,12 @@ def assign_bounce(
 def _placement_rotation(ca: float, sa: float, ce: float, se: float) -> np.ndarray:
     """Rotation from the cluster frame (x toward the center) to the global
     frame, from the cosines and sines of the center's azimuth and
-    elevation."""
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    re = np.array([[ce, 0.0, -se], [0.0, 1.0, 0.0], [se, 0.0, ce]])
-    return rz @ re
+    elevation: ``rz @ re`` with ``rz`` the azimuth turn about z and ``re``
+    the elevation turn about y, written out. The ``+ 0.0`` and ``0.0 -``
+    give the signed zeros of that matrix product."""
+    return np.array([[ca * ce + 0.0, 0.0 - sa, 0.0 - ca * se],
+                     [sa * ce + 0.0, ca + 0.0, 0.0 - sa * se],
+                     [se + 0.0, 0.0, ce + 0.0]])
 
 
 def _weighted_index(weights, rng: np.random.Generator) -> int:

@@ -451,9 +451,9 @@ def shadowing_stats(residuals) -> ShadowingStats:
     """Residual moments plus a KS check against the fitted Gaussian.
 
     The KS distance is the two-sided statistic of
-    ``scipy.stats.kstest(r, "norm", args=(mean, std))``, computed from
-    ``scipy.special.ndtr`` in the same bits; scipy is imported here, on
-    the first call, and nowhere else in vlcsim. Uses the asymptotic 5%
+    ``scipy.stats.kstest(r, "norm", args=(mean, std))``, in its bits: the
+    normal CDF is :func:`_ndtr`, the Cephes algorithm behind
+    ``scipy.special.ndtr``, run on Python floats. Uses the asymptotic 5%
     critical value 1.358/sqrt(n); needs >= 30 finite samples that are
     not all equal.
     """
@@ -467,9 +467,7 @@ def shadowing_stats(residuals) -> ShadowingStats:
     std = float(r.std(ddof=1))
     if std == 0.0 or r[0] == r[-1]:
         raise DegenerateFitError("residuals have no spread")
-    from scipy.special import ndtr
-
-    c = ndtr((r - mean) / std)
+    c = np.array([_ndtr(v) for v in ((r - mean) / std).tolist()])
     ks = float(max((np.arange(1.0, n + 1) / n - c).max(), (c - np.arange(0.0, n) / n).max()))
     crit = 1.358 / math.sqrt(n)
     return ShadowingStats(
@@ -481,3 +479,73 @@ def shadowing_stats(residuals) -> ShadowingStats:
         sorted_residuals=r,
         empirical_cdf=(np.arange(1, n + 1) - 0.5) / n,
     )
+
+
+# === normal CDF ===
+# Cephes ndtr, with the parts of erf and erfc it reaches: the C's
+# coefficient tables, branches and order of operations.
+
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    """:func:`_polevl` with an implicit leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes ``erf`` for ``|x| < 1``, the only range ndtr asks of it."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes ``erfc`` for ``x >= 1/sqrt(2)``, the only range ndtr asks
+    of it."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0   # underflow
+    if x < 8.0:
+        return math.exp(z) * _polevl(x, _P) / _p1evl(x, _Q)
+    return math.exp(z) * _polevl(x, _R) / _p1evl(x, _S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at ``a``, in the bits of ``scipy.special.ndtr``:
+    the same Cephes algorithm, each step one IEEE operation on Python
+    floats as in the C."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y

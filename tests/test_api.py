@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -109,9 +110,9 @@ try:
     runpy.run_module("vlcsim", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print("before:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 vlcsim.shadowing_stats([float(k % 7) for k in range(30)])
-print("after:", "scipy.special" in sys.modules)
+vlcsim.run_experiment("pl-ci", cfg, ensemble=3)
+print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -125,13 +126,36 @@ def _python(script: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def test_only_shadowing_stats_imports_scipy():
-    # scipy's import costs more than the rest of a run's set-up, so only
-    # the one function that needs it may load it, on its first call
+def test_no_vlcsim_call_imports_scipy():
+    # scipy is a test-only oracle: the normality check, pattern loads and
+    # whole runs work without it
     proc = _python(_SCIPY_FREE)
-    lines = proc.stdout.splitlines()
     assert "ccf-space: " in proc.stdout
-    assert lines[-2:] == ["before: []", "after: True"]
+    assert proc.stdout.splitlines()[-1] == "scipy: []"
+
+
+# import names whose distribution is named otherwise
+_DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_runtime_import_is_a_declared_dependency():
+    import tomllib
+
+    root = Path(vlcsim.__file__).resolve().parent
+    project = tomllib.loads((root.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~ \[;]", d, maxsplit=1)[0].lower()
+                for d in project["dependencies"]}
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"vlcsim"}
+    assert {_DISTRIBUTIONS.get(m, m) for m in third_party} == declared
+    assert "scipy" not in imported and "scipy" not in declared
 
 
 _JSON_EXPORT = """

@@ -37,6 +37,21 @@ from vlcsim.scene import ClusterSet, Scene
 SEED = 20220101
 
 
+# a few values drawn often force ties, signed zeros and NaNs
+_DELAYS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1e-9, 2.5e-8, math.inf]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DELAYS, max_size=600), st.booleans())
+def test_delay_order_is_the_stable_argsort(delays, distinct):
+    delay = np.array(delays, dtype=float)
+    if distinct:
+        delay = np.unique(delay[::-1])[::-1].copy()   # descending, no ties
+    got = vlcsim.channel._delay_order(delay)
+    assert np.array_equal(got, np.argsort(delay, kind="stable"))
+
+
 def _cluster(scatterer, normal, gamma, area, speed=0.0, travel_az=0.0):
     """A one-cluster set holding a single scatterer."""
     return ClusterSet(

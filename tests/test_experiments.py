@@ -277,6 +277,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "dark.csv": _PATTERN_HEAD + "0,0,0\n0,10,0\n10,0,0\n10,10,0\n",
         "infinite.csv": _PATTERN_HEAD + "0,0,1\n0,10,inf\n10,0,1\n10,10,1\n",
         "one_elevation.csv": _PATTERN_HEAD + "0,0,1\n0,10,1\n",
+        # lit only behind the emitter: no forward-hemisphere power
+        "backward.csv": _PATTERN_HEAD + "0,120,1\n0,180,1\n10,120,1\n10,180,1\n",
     }
     leds = {
         "one_row.csv": _LED_HEAD + "500,1\n",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +91,9 @@ def test_tabulated_pattern_validation():
         TabulatedPattern(el, az, -np.ones((5, 7)))
     with pytest.raises(EmptyPatternError):
         TabulatedPattern(el, az, np.zeros((5, 7)))
+    # lit only behind the emitter, so no forward-hemisphere power to scale by
+    with pytest.raises(EmptyPatternError, match="forward-hemisphere"):
+        TabulatedPattern(el, np.linspace(2.1, 3.1, 7), np.ones((5, 7)))
     # each axis: at least two points, strictly monotonic, no NaN
     values = np.ones((5, 7))
     bumpy = az.copy()
@@ -133,6 +137,16 @@ def _scipy_intensity(elevation, azimuth, values):
     return intensity
 
 
+def _one_shot_integral(pattern):
+    """The forward-hemisphere quadrature on its whole 361 x 361 grid at
+    once: the oracle for the row-blocked one."""
+    el = np.linspace(-math.pi / 2, math.pi / 2, 361)
+    az = np.linspace(-math.pi / 2, math.pi / 2, 361)
+    ee, aa = np.meshgrid(el, az, indexing="ij")
+    inner = np.trapezoid(pattern.intensity(ee, aa) * np.cos(ee), az, axis=1)
+    return float(np.trapezoid(inner, el))
+
+
 def _raw_table(name):
     rows = np.loadtxt(_DATA_DIR / name, delimiter=",", skiprows=1)
     el = np.unique(rows[:, 0])
@@ -159,7 +173,7 @@ def test_tabulated_pattern_matches_scipy_bit_for_bit(name):
     el, az, raw = _raw_table(name)
     table = load_pattern(_DATA_DIR / name)
     oracle = SimpleNamespace(intensity=_scipy_intensity(el, az, raw))
-    want_values = raw / hemisphere_integral(oracle)
+    want_values = raw / _one_shot_integral(oracle)
     assert np.array_equal(table.values.view(np.uint64), want_values.view(np.uint64))
     pts_el, pts_az = _probe_points(table, np.random.default_rng(11))
     got = table.intensity(pts_el, pts_az)
@@ -186,9 +200,38 @@ def test_tabulated_pattern_flips_a_descending_axis():
     got = down.intensity(pts_el, pts_az)
     # scipy flips a descending axis too, and normalises the same raw table
     oracle = SimpleNamespace(intensity=_scipy_intensity(el[::-1], az[::-1], raw[::-1, ::-1]))
-    scale = hemisphere_integral(oracle)
+    scale = _one_shot_integral(oracle)
     want = _scipy_intensity(el[::-1], az[::-1], raw[::-1, ::-1] / scale)(pts_el, pts_az)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_hemisphere_integral_equals_the_one_shot_quadrature():
+    rng = np.random.default_rng(13)
+    for k in range(40):
+        # grids inside, across and beyond the forward hemisphere
+        el = np.cumsum(rng.uniform(0.01, 0.4, int(rng.integers(2, 30)))) - rng.uniform(0.0, 2.0)
+        az = np.cumsum(rng.uniform(0.01, 0.4, int(rng.integers(2, 30)))) - rng.uniform(0.0, 2.0)
+        raw = rng.exponential(1.0, (el.size, az.size)) * (rng.uniform(size=(el.size, az.size)) < 0.8)
+        table = TabulatedPattern(el, az, raw)
+        want = raw / _one_shot_integral(SimpleNamespace(intensity=_scipy_intensity(el, az, raw)))
+        assert np.array_equal(table.values.view(np.uint64), want.view(np.uint64)), k
+    for order in (0.0, 1.0, 2.7, 40.0):
+        lamb = LambertianPattern(order)
+        assert hemisphere_integral(lamb) == _one_shot_integral(lamb)
+
+
+@pytest.mark.parametrize("path", sorted(_DATA_DIR.glob("pattern_*.csv")), ids=lambda p: p.name)
+def test_loading_a_bundled_pattern_holds_no_full_quadrature_grid(path):
+    # a 361 x 361 grid of float64 is 1 MB a copy, and the quadrature
+    # evaluates it in row blocks; a first load also imports modules lazily
+    load_pattern(path)
+    tracemalloc.start()
+    try:
+        load_pattern(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("name", ["pattern_narrow.csv", "pattern_batwing.csv"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -26,6 +27,7 @@ from vlcsim import (
 )
 from vlcsim.geometry import direction
 from vlcsim.scene import (
+    _placement_rotation,
     _weighted_index,
     assign_bounce,
     evolve_visibility,
@@ -554,3 +556,23 @@ def test_part_drawn_scene_pickles_and_draws_on():
     a = cir_snapshot(4, 4, 1, scene, 0.0)
     b = cir_snapshot(4, 4, 1, copy, 0.0)
     assert np.array_equal(a.powers, b.powers) and np.array_equal(a.delays, b.delays)
+
+
+def _same_rotation(ca, sa, ce, se):
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    re = np.array([[ce, 0.0, -se], [0.0, 1.0, 0.0], [se, 0.0, ce]])
+    got = _placement_rotation(ca, sa, ce, se)
+    assert np.array_equal(got.view(np.uint64), (rz @ re).view(np.uint64)), (ca, sa, ce, se)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
+def test_placement_rotation_is_the_matrix_product(azimuth, elevation):
+    _same_rotation(math.cos(azimuth), math.sin(azimuth), math.cos(elevation), math.sin(elevation))
+
+
+def test_placement_rotation_keeps_the_signed_zeros_of_the_product():
+    # the product's zeros take their signs from sums such as -0.0 + 0.0
+    edge = (0.0, -0.0, 1.0, -1.0, 0.5, -0.3, 6.1e-17)
+    for ca, sa, ce, se in itertools.product(edge, repeat=4):
+        _same_rotation(ca, sa, ce, se)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 import oracles
@@ -44,7 +45,7 @@ from vlcsim import (
     transfer,
 )
 from vlcsim.scene import Scene
-from vlcsim.stats import _complex_sem, _normalized_influence
+from vlcsim.stats import _MAXLOG, _complex_sem, _ndtr, _normalized_influence
 
 SEED = 20220101
 SMALL = {
@@ -398,6 +399,31 @@ def test_shadowing_stats_matches_kstest_bit_for_bit():
         out = shadowing_stats(r)
         assert out.ks_distance == kstest(r, "norm", args=(out.mean, out.std)).statistic
 
+
+
+def _same_ndtr(values):
+    got = np.array([_ndtr(v) for v in values])
+    want = ndtr(np.array(values, dtype=float))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), values
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+def test_ndtr_matches_scipy_bit_for_bit(values):
+    _same_ndtr(values)
+
+
+def test_ndtr_matches_scipy_at_its_branch_points():
+    # ndtr's argument is sqrt(2) times erf's: the branches sit at
+    # |x| = 1/sqrt(2) (ndtr), 1 (erf and erfc), 8 (erfc's two fits) and
+    # sqrt(MAXLOG) (erfc's underflow)
+    edges = np.sqrt(2.0) * np.array([1.0 / np.sqrt(2.0), 1.0, 8.0, np.sqrt(_MAXLOG)])
+    points = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 40.0, 1e300]
+    for edge in edges:
+        points += np.linspace(0.99 * edge, 1.01 * edge, 2001).tolist()
+        points += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    points += np.linspace(-45.0, 45.0, 90001).tolist()
+    _same_ndtr(points + [-p for p in points])
 
 def test_complex_sem_real_samples():
     rng = np.random.default_rng(SEED + 2)
